@@ -22,10 +22,11 @@ this module exploits:
   *timing*, not behaviour, so the expensive workload computation runs
   once per behaviour class (:mod:`repro.trace` captures it) and every
   other grid point replays the captured trace — by default through the
-  vectorized fast-path re-timer (:mod:`repro.trace.fastreplay`), with
-  automatic fallback to event-by-event DES replay and from there to
-  direct simulation — bit-identical to direct simulation, several
-  times faster.  Trace artifacts live beside the result cache
+  fast-path micro-kernel re-timer (:mod:`repro.trace.fastreplay`),
+  falling back to event-by-event DES replay for points it cannot
+  express and to direct simulation on any replay divergence —
+  bit-identical to direct simulation, several times faster.  Trace
+  artifacts live beside the result cache
   (``<cache_dir>/traces/``);
 - **zero-copy transport** — with a process pool, the runner keeps its
   workers alive across waves and campaigns, decompresses each trace
@@ -79,7 +80,7 @@ _TRACE_STATUS = {
 
 @contextmanager
 def _paused_gc() -> t.Iterator[None]:
-    """Suspend the cyclic collector across a hot execution region.
+    """Suspend the cyclic collector across one point's execution.
 
     Campaign points allocate millions of short-lived tuples, lists and
     event records that die by refcount alone; generational collections
@@ -87,8 +88,18 @@ def _paused_gc() -> t.Iterator[None]:
     simulated value depends on allocation timing, so pausing collection
     is a pure wall-clock win.  Reentrant-safe: an inner pause inside an
     already-paused region is a no-op, and only the frame that disabled
-    the collector restores it — with one catch-up collection so cyclic
-    garbage from the region cannot outlive it.
+    the collector restores it.
+
+    On the way out it runs one *generation-0* catch-up, then
+    re-enables.  With automatic collection off, every object born
+    inside the pause is still in generation 0, so that collection frees
+    every reference cycle made only of such objects, at a cost
+    proportional to what the point left alive rather than to the whole
+    long-lived heap.  Cycles through objects older than the pause are
+    left to the normal generational schedule.  The catch-up runs before
+    re-enabling so that the automatic trigger, whose allocation count
+    grew throughout the pause, cannot fire an older-generation
+    collection first.
     """
     if not gc.isenabled():
         yield
@@ -97,8 +108,8 @@ def _paused_gc() -> t.Iterator[None]:
     try:
         yield
     finally:
+        gc.collect(0)
         gc.enable()
-        gc.collect()
 
 
 def _execute_point(
@@ -691,26 +702,21 @@ class CampaignRunner:
 
         prev_cache = datacache.active()
         try:
-            # One collector pause spans the whole wave: serial points run
-            # back to back in this process, so the per-point pause inside
-            # ``_execute_point`` would re-enable (and catch-up collect)
-            # between every pair of points for no benefit.
-            with _paused_gc():
-                for point in primaries:
-                    try:
-                        result, status = _execute_point(
-                            point.config,
-                            trace_root,
-                            obs_dir,
-                            None,
-                            self.fast_replay,
-                            dataset_root,
-                        )
-                        self._record(point, result, status)
-                    except Exception as exc:  # noqa: BLE001 - point isolation
-                        point.error = f"{type(exc).__name__}: {exc}"
-                        point.status = STATUS_FAILED
-                    self._emit_progress(report, started)
+            for point in primaries:
+                try:
+                    result, status = _execute_point(
+                        point.config,
+                        trace_root,
+                        obs_dir,
+                        None,
+                        self.fast_replay,
+                        dataset_root,
+                    )
+                    self._record(point, result, status)
+                except Exception as exc:  # noqa: BLE001 - point isolation
+                    point.error = f"{type(exc).__name__}: {exc}"
+                    point.status = STATUS_FAILED
+                self._emit_progress(report, started)
         finally:
             if dataset_root is not None:
                 datacache.configure(

@@ -29,6 +29,11 @@ _REJECTIONS: dict[str, type[ServiceError]] = {
     "closed": ServiceClosedError,
 }
 
+#: Longest reply line the client reads.  ``metrics``/``status`` replies
+#: grow with every labelled series a server has seen and pass asyncio's
+#: 64 KiB default once a handful of (workload, tier) pairs have run.
+_MAX_REPLY_BYTES = 1 << 30
+
 
 class RemoteJobFailed(ServiceError):
     """The service reported a ``failed`` event for our submission."""
@@ -54,7 +59,7 @@ class ServiceClient:
 
     async def connect(self) -> "ServiceClient":
         self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+            self.host, self.port, limit=_MAX_REPLY_BYTES
         )
         return self
 

@@ -8,6 +8,7 @@ backpressure accounting, graceful signal-driven drain, and the
 """
 
 import asyncio
+import json
 import os
 import signal
 
@@ -78,6 +79,37 @@ def test_metrics_op_serves_parseable_exposition_with_tier_labels():
     assert scrape["summary"]["service.submitted"] == 1.0
     assert "service.latency_s.p50" in scrape["summary"]
     assert scrape["clients"] == {}
+
+
+def test_replies_past_the_default_line_limit_keep_the_connection_usable():
+    """A busy server's ``metrics``/``status`` replies outgrow asyncio's
+    64 KiB default line limit; the client must still read them whole and
+    stay in step for the next request on the same connection."""
+    configs = [
+        api.config(workload, size="tiny", tier=tier)
+        for workload in ("sort", "repartition", "wordcount", "bayes")
+        for tier in range(4)
+    ]
+
+    async def go():
+        server = make_server()
+        host, port = await server.start()
+        async with ServiceClient(host, port, client="scraper") as client:
+            for config in configs:
+                await client.run(config)
+            scrape = await client.metrics()
+            status = await client.status()
+            result = await client.run(TINY.with_options(mba_percent=50))
+        await server.close()
+        return scrape, status, result
+
+    scrape, status, result = asyncio.run(go())
+    for reply in (scrape, status):
+        assert reply["ok"] is True
+        assert len(json.dumps(reply)) > 64 * 1024
+    assert scrape["summary"]["service.completed"] == len(configs)
+    assert status["summary"]["completed"] == len(configs)
+    assert result.verified and result.execution_time > 0
 
 
 def test_http_metrics_listener_end_to_end():
