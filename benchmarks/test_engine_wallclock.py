@@ -20,14 +20,12 @@ seven paper workloads.  Wall-clock numbers vary across machines, so the
 regression gate only fails on a >50 % slowdown against baseline.
 
 Campaign-level measurement: the full 84-point Fig. 2 grid is also timed
-as one campaign four ways — every point simulated in full
+as one campaign three ways — every point simulated in full
 (``reuse_traces=False``, serial), cold trace reuse (pooled: one capture
-per behaviour class, the rest fast-replayed over the shared-memory
-transport), warm trace reuse (pooled, every replayable point served
-from artifacts written by the cold pass), and warm DES replay
-(``fast_replay=False``, same pool) so the fast path's wall-clock win
-and bit-identity are measured against the event-by-event replayer it
-replaces.  Every traced pass must be value-identical to the direct one;
+per behaviour class, the rest replayed over the shared-memory
+transport) and warm trace reuse (pooled, every replayable point served
+from artifacts written by the cold pass).  Every traced pass must be
+value-identical to the direct one;
 the PR-8 gate additionally holds the pooled cold/warm passes to ≤ ½ / ≤ ⅓
 of the committed PR-4 serial wall clock.  ``BENCH_WORKERS`` sets the
 pool width (default ``min(4, cpu_count)``),
@@ -63,7 +61,7 @@ from repro.trace import capture_experiment
 from repro.workloads import WORKLOAD_NAMES, datacache, datagen
 from repro.workloads.base import SIZE_ORDER
 
-BENCH_SCHEMA_VERSION = 4
+BENCH_SCHEMA_VERSION = 5
 
 #: Representative slice of the Fig. 2 grid: every paper workload on the
 #: fastest and slowest tier, plus the two heaviest workloads at scale.
@@ -172,13 +170,11 @@ def time_campaign() -> dict | None:
     Returns ``None`` when ``BENCH_CAMPAIGN=off``.  The direct pass stays
     serial (the PR-4 reference shape); the traced passes run the PR-8
     path — a worker pool fed through the shared-memory transport with
-    fast-path replay — plus one warm DES-replay pass (``fast_replay=
-    False``) on the same pool, so the fast path's speedup is measured
-    against the replayer it bypasses.  Every traced pass is asserted
+    micro-kernel replay.  Every traced pass is asserted
     value-identical to the direct pass point by point, so the wall-clock
     comparison never trades correctness for speed.
 
-    All four passes share one dataset-artifact directory: the direct
+    All three passes share one dataset-artifact directory: the direct
     pass seeds the artifacts, the cold capture wave loads them instead
     of regenerating every input from its seed (the PR-9 capture-phase
     win), and the warm passes never touch datasets at all.
@@ -238,8 +234,8 @@ def time_campaign() -> dict | None:
         cold_wall = min(cold_walls)
 
         # Warm passes are warm by construction (the artifacts already
-        # exist), so best-of-N just repeats the same pass; the minima
-        # keep the fast-vs-DES ratio from wobbling with host noise.
+        # exist), so best-of-N just repeats the same pass; the minimum
+        # keeps the warm ratio from wobbling with host noise.
         warm_walls = []
         for _ in range(ROUNDS):
             datagen.clear_cache()
@@ -254,26 +250,11 @@ def time_campaign() -> dict | None:
             warm.raise_on_failure()
         warm_wall = min(warm_walls)
 
-        warm_des_walls = []
-        for _ in range(ROUNDS):
-            datagen.clear_cache()
-            t0 = time.perf_counter()
-            warm_des = run_campaign(
-                grid, trace_dir=trace_dir, workers=workers,
-                dataset_dir=dataset_dir, fast_replay=False,
-            )
-            warm_des_walls.append(time.perf_counter() - t0)
-            warm_des.raise_on_failure()
-        warm_des_wall = min(warm_des_walls)
-
-    for label, report in (
-        ("cold", cold), ("warm", warm), ("warm-DES", warm_des)
-    ):
+    for label, report in (("cold", cold), ("warm", warm)):
         assert [
             result_to_dict(r) for r in report.results
         ] == reference, f"{label} trace-reuse campaign is not value-identical"
     assert warm.replayed == len(grid), "warm pass should replay every point"
-    assert warm_des.replayed == len(grid)
 
     return {
         "points": len(grid),
@@ -283,10 +264,8 @@ def time_campaign() -> dict | None:
         "traced_cold_wall_s": cold_wall,
         "cold_wall_runs": cold_walls,
         "traced_warm_wall_s": warm_wall,
-        "traced_warm_des_wall_s": warm_des_wall,
         "cold_speedup": direct_wall / cold_wall,
         "warm_speedup": direct_wall / warm_wall,
-        "fast_vs_des_speedup": warm_des_wall / warm_wall,
         "cold_replayed": cold.replayed,
     }
 
@@ -424,8 +403,8 @@ def test_campaign_beats_pr4_serial_baseline(measurements):
     cores the parallel half of the win does not exist (a process pool
     only adds IPC cost, so ``bench_workers`` correctly degrades), and
     the absolute comparison is meaningless — skip with the reason, and
-    let ``test_fast_path_beats_des_replay`` hold the serial fast-path
-    contribution as same-run ratios instead."""
+    let ``test_warm_replay_speedup_floor`` hold the serial replay
+    contribution as a same-run ratio instead."""
     campaign = measurements.get("campaign")
     if campaign is None:
         pytest.skip("campaign benchmark disabled (BENCH_CAMPAIGN=off)")
@@ -442,11 +421,10 @@ def test_campaign_beats_pr4_serial_baseline(measurements):
     assert campaign["traced_warm_wall_s"] <= PR4_WARM_WALL_S / 3, campaign
 
 
-def test_fast_path_beats_des_replay(measurements):
-    """Same-run ratio gates — robust to host speed and timer noise, so
-    they run whatever the core count.  The fast path must keep the
-    warm campaign roughly an order of magnitude ahead of direct
-    simulation and beat event-by-event DES replay head on.  (The warm
+def test_warm_replay_speedup_floor(measurements):
+    """Same-run ratio gate — robust to host speed and timer noise, so it
+    runs whatever the core count.  Replay must keep the warm campaign
+    roughly an order of magnitude ahead of direct simulation.  (The warm
     floor is deliberately below PR-4's shipped 11.08×: the PR-9
     collector and teardown work sped the *direct* denominator up ~1.6×,
     which compresses the ratio even though warm replay itself also got
@@ -456,7 +434,6 @@ def test_fast_path_beats_des_replay(measurements):
         pytest.skip("campaign benchmark disabled (BENCH_CAMPAIGN=off)")
     if os.environ.get("BENCH_CAMPAIGN", "").strip():
         return  # shrunk grid: too few replays for a stable ratio
-    assert campaign["fast_vs_des_speedup"] >= 1.5, campaign
     assert campaign["warm_speedup"] >= 8.0, campaign
 
 

@@ -74,8 +74,9 @@ def config(workload: str, **fields: t.Any) -> ExperimentConfig:
 def _execute_single(
     config: ExperimentConfig, options: RunOptions
 ) -> tuple[ExperimentResult, str]:
-    """One point under ``options`` — the primitive behind :func:`run`
-    and each service job.
+    """One point under ``options`` — the primitive behind :func:`run`.
+    (Campaign points and service jobs run
+    :func:`repro.runner.campaign._execute_point` instead.)
 
     Resolution order mirrors the campaign runner: result-cache lookup
     (when ``cache_dir`` is set and ``resume`` allows), then trace

@@ -56,13 +56,6 @@ class RunOptions:
     #: Compute each behaviour class once and replay the captured trace
     #: for every other tier/MBA/socket point (bit-identical, faster).
     reuse_traces: bool = True
-    #: Serve trace hits through the vectorized fast-path re-timer
-    #: (:mod:`repro.trace.fastreplay`) instead of event-by-event DES
-    #: replay — bit-identical, several times faster; ineligible points
-    #: fall back to DES replay automatically.  ``False`` forces DES
-    #: replay for every hit (observed runs take the fast path too; the
-    #: re-timer emits the same spans DES replay does).
-    fast_replay: bool = True
     #: Persist generated input datasets as memory-mapped artifacts
     #: (:mod:`repro.workloads.datacache`) so capture/direct points skip
     #: regeneration — value-identical, keyed on generator version and
@@ -138,7 +131,6 @@ class RunOptions:
             "cache_dir": self.cache_dir,
             "resume": self.resume,
             "reuse_traces": self.reuse_traces,
-            "fast_replay": self.fast_replay,
             "dataset_cache": self.dataset_cache,
             "trace_dir": self.trace_dir,
             "dataset_dir": self.dataset_dir,
@@ -219,9 +211,6 @@ def add_options_args(
         "cache_dir": "content-addressed result cache directory",
         "reuse_traces": "replay captured workload traces instead of "
                         "simulating every point in full",
-        "fast_replay": "serve trace hits through the vectorized "
-                       "fast-path re-timer (bit-identical; --no-fast-replay "
-                       "forces event-by-event DES replay)",
         "dataset_cache": "reuse generated input datasets as memory-mapped "
                          "artifacts under CACHE_DIR/datasets "
                          "(value-identical; --no-dataset-cache regenerates "

@@ -49,18 +49,16 @@ _TARGETS: tuple[tuple[str, str | None, str, str], ...] = (
     ("repro.workloads.datacache", "DatasetCache", "load", "datagen.cache"),
     ("repro.workloads.datacache", "DatasetCache", "store", "datagen.cache"),
     # Trace-once/replay-many engine: the capture pass nests the real
-    # engine spans above (exclusive attribution separates them); the
-    # replay pass is pure DES re-timing, so its span *is* the replay
-    # cost.  ``capture_experiment`` is patched both where it is defined
-    # and where ``run_with_trace`` imported it by name.
+    # engine spans above (exclusive attribution separates them).
+    # ``capture_experiment`` is patched both where it is defined and
+    # where ``run_with_trace`` imported it by name.
     ("repro.trace.capture", None, "capture_experiment", "trace.capture"),
     ("repro.trace.replay", None, "capture_experiment", "trace.capture"),
-    ("repro.trace.replay", None, "replay_experiment", "trace.replay"),
     ("repro.trace", None, "capture_experiment", "trace.capture"),
-    ("repro.trace", None, "replay_experiment", "trace.replay"),
-    # Vectorized fast path: ``run_with_trace`` resolves the function as
-    # a module attribute at call time, so patching the defining module
-    # (plus the package re-export) covers every route into it.
+    # Replay is pure re-timing, so its span *is* the replay cost.
+    # ``run_with_trace`` resolves the function as a module attribute at
+    # call time, so patching the defining module (plus the package
+    # re-export) covers every route into it.
     ("repro.trace.fastreplay", None, "fast_replay_experiment", "trace.fastreplay"),
     ("repro.trace", None, "fast_replay_experiment", "trace.fastreplay"),
     ("repro.trace.store", "TraceStore", "save", "trace.store"),

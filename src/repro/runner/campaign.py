@@ -21,13 +21,12 @@ this module exploits:
 - **trace reuse** — the sweep axes (tier, MBA level, CPU socket) change
   *timing*, not behaviour, so the expensive workload computation runs
   once per behaviour class (:mod:`repro.trace` captures it) and every
-  other grid point replays the captured trace — by default through the
-  fast-path micro-kernel re-timer (:mod:`repro.trace.fastreplay`),
-  falling back to event-by-event DES replay for points it cannot
-  express and to direct simulation on any replay divergence —
-  bit-identical to direct simulation, several times faster.  Trace
-  artifacts live beside the result cache
-  (``<cache_dir>/traces/``);
+  other grid point replays the captured trace through the micro-kernel
+  re-timer (:mod:`repro.trace.fastreplay`), falling back to direct
+  simulation when the replay raises
+  :class:`~repro.trace.replay.ReplayDivergence` — bit-identical to
+  direct simulation, several times faster.  Trace artifacts live beside
+  the result cache (``<cache_dir>/traces/``);
 - **zero-copy transport** — with a process pool, the runner keeps its
   workers alive across waves and campaigns, decompresses each trace
   artifact once in the parent, and publishes the columnar arrays to
@@ -117,16 +116,15 @@ def _execute_point(
     trace_root: str | None = None,
     obs_dir: str | None = None,
     shm_manifest: "dict[str, t.Any] | None" = None,
-    fast_replay: bool = True,
     dataset_root: str | None = None,
 ) -> tuple[ExperimentResult, str]:
     """Worker entry point (module-level so it pickles into the pool).
 
-    With a trace root, resolves the point through the trace store —
-    replaying an existing artifact (vectorized fast path first, DES
-    replay on fallback), capturing a new one, or falling back to direct
-    simulation when the config's behaviour is timing-dependent (faults,
-    speculation) or a replay diverges.
+    With a trace root, resolves the point through the trace store
+    (:func:`~repro.trace.replay.run_with_trace`) — replaying an existing
+    artifact, capturing a new one, or falling back to direct simulation
+    when the config's behaviour is timing-dependent (faults,
+    speculation) or the replay diverges.
 
     ``shm_manifest`` maps behaviour keys to shared-memory segment
     descriptors published by the parent; installing it lets the trace
@@ -181,10 +179,7 @@ def _execute_point(
             from repro.trace import TraceStore, run_with_trace
 
             result, how = run_with_trace(
-                config,
-                TraceStore(trace_root),
-                observer=observer,
-                fast_replay=fast_replay,
+                config, TraceStore(trace_root), observer=observer
             )
             status = _TRACE_STATUS[how]
     if observer is not None:
@@ -392,12 +387,6 @@ class CampaignRunner:
         the full engine once and replays the captured trace for every
         other tier/MBA/socket point — value-identical, much faster.
         ``False`` simulates every point in full.
-    fast_replay:
-        ``True`` (default) serves trace hits through the vectorized
-        fast-path re-timer (bit-identical to DES replay, with automatic
-        fallback for points it cannot express; observed points take the
-        fast path too).  ``False`` forces event-by-event DES replay for
-        every hit.
     dataset_cache:
         ``True`` (default) persists generated input datasets as
         memory-mapped artifacts under ``dataset_dir`` (default
@@ -436,7 +425,6 @@ class CampaignRunner:
         trace_dir: str | Path | None = None,
         observe: t.Any = None,
         options: RunOptions | None = None,
-        fast_replay: bool = True,
         dataset_cache: bool = True,
         dataset_dir: str | Path | None = None,
     ) -> None:
@@ -448,7 +436,6 @@ class CampaignRunner:
             cache_dir = kw["cache_dir"]
             resume = kw["resume"]
             reuse_traces = kw["reuse_traces"]
-            fast_replay = kw["fast_replay"]
             dataset_cache = kw["dataset_cache"]
             trace_dir = kw["trace_dir"]
             dataset_dir = kw["dataset_dir"]
@@ -456,7 +443,6 @@ class CampaignRunner:
         if workers is not None and workers < 0:
             raise ValueError("workers must be >= 0")
         self.workers = workers or 0
-        self.fast_replay = fast_replay
         #: Lazily-created persistent resources: "pool" (the process
         #: pool) and "shm" (the shared-trace cache).  Held in a plain
         #: dict so the exit finalizer can release them without keeping
@@ -709,7 +695,6 @@ class CampaignRunner:
                         trace_root,
                         obs_dir,
                         None,
-                        self.fast_replay,
                         dataset_root,
                     )
                     self._record(point, result, status)
@@ -744,7 +729,6 @@ class CampaignRunner:
                 trace_root,
                 obs_dir,
                 shm_manifest,
-                self.fast_replay,
                 dataset_root,
             ): point
             for point in primaries
@@ -895,7 +879,6 @@ def run_campaign(
     trace_dir: str | Path | None = None,
     observe: t.Any = None,
     options: RunOptions | None = None,
-    fast_replay: bool = True,
     dataset_cache: bool = True,
     dataset_dir: str | Path | None = None,
 ) -> CampaignReport:
@@ -915,7 +898,6 @@ def run_campaign(
         trace_dir=trace_dir,
         observe=observe,
         options=options,
-        fast_replay=fast_replay,
         dataset_cache=dataset_cache,
         dataset_dir=dataset_dir,
     )

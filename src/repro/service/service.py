@@ -18,10 +18,14 @@ the same decisions *online*, per submission:
   client served least recently wins), then arrival order; replay-aware:
   the first job of a behaviour class *captures* its trace while later
   jobs of the class are held and then *replay* it (the campaign
-  runner's two-wave plan, online) — by default through the vectorized
-  fast-path re-timer, with the captured artifact published once to
-  shared memory so pooled replay workers attach zero-copy views
-  instead of re-inflating gzip + pickle per job;
+  runner's two-wave plan, online) through the micro-kernel re-timer,
+  with the captured artifact published once to shared memory so pooled
+  replay workers attach zero-copy views instead of re-inflating gzip +
+  pickle per job;
+- **worker supervision** — when a pool worker dies (OOM kill, signal)
+  the pool is replaced by a fresh one of the same width: only the jobs
+  in flight on the dead pool fail, and later jobs run on the new one
+  (counted in ``service.pool_restarts``);
 - **events & observability** — every job streams
   ``queued → coalesced/started → progress → done/failed`` events, and
   the service keeps a :class:`~repro.obs.MetricsRegistry` (queue depth,
@@ -42,6 +46,7 @@ import tempfile
 import time
 import typing as t
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from itertools import count
 from pathlib import Path
 
@@ -221,16 +226,7 @@ class ExperimentService:
             return self
         self._loop = asyncio.get_running_loop()
         self._state_changed = asyncio.Event()
-        workers = self.options.workers or 0
-        if workers > 1:
-            self._executor = ProcessPoolExecutor(max_workers=workers)
-        else:
-            # Serial options still need the loop to stay responsive
-            # while an experiment runs, so "serial" means one worker
-            # thread, not in-loop execution.
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-service"
-            )
+        self._executor = self._new_executor()
         if self.options.cache_dir is not None:
             self._cache = ResultCache(self.options.cache_dir)
             if self.options.resume:
@@ -269,6 +265,28 @@ class ExperimentService:
         self._closed = False
         self._set_gauges()
         return self
+
+    def _new_executor(self) -> Executor:
+        workers = self.options.workers or 0
+        if workers > 1:
+            return ProcessPoolExecutor(max_workers=workers)
+        # Serial options still need the loop to stay responsive while an
+        # experiment runs, so "serial" means one worker thread, not
+        # in-loop execution.
+        return ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-service"
+        )
+
+    def _replace_pool(self, broken: Executor) -> Executor:
+        """Swap a pool that lost a worker for a fresh one of the same
+        width (once per broken pool) and return the current pool."""
+        if broken is self._executor:
+            broken.shutdown(wait=False, cancel_futures=True)
+            self._executor = self._new_executor()
+            self.metrics.inc("service.pool_restarts")
+            self.log.warning("service.pool_restart")
+        assert self._executor is not None
+        return self._executor
 
     async def drain(self) -> None:
         """Stop admitting; wait for every queued and running job.
@@ -619,26 +637,28 @@ class ExperimentService:
                   queue_wait_s=round(job.queue_wait or 0.0, 6))
         trace_root = None if self._trace_root is None else str(self._trace_root)
         obs_dir = None if self._obs_dir is None else str(self._obs_dir)
+        args: tuple[t.Any, ...] = (job.config, trace_root, obs_dir)
         if self._execute is _execute_point:
             # The stock entry point understands the shared-memory
-            # manifest, the fast-replay switch and the dataset-artifact
-            # root; ``execute=`` overrides keep the documented
-            # 3-argument contract.
-            pool_future = self._loop.run_in_executor(
-                self._executor,
-                self._execute,
-                job.config,
-                trace_root,
-                obs_dir,
+            # manifest and the dataset-artifact root; ``execute=``
+            # overrides keep the documented 3-argument contract.
+            args += (
                 self._publish_trace(job),
-                self.options.fast_replay,
                 None if self._dataset_root is None else str(self._dataset_root),
             )
-        else:
+        executor = self._executor
+        try:
             pool_future = self._loop.run_in_executor(
-                self._executor, self._execute, job.config, trace_root, obs_dir
+                executor, self._execute, *args
             )
-        asyncio.ensure_future(self._finish(job, pool_future))
+        except BrokenProcessPool:
+            # A worker died since the pool last finished a job: run
+            # this one on a fresh pool.
+            executor = self._replace_pool(executor)
+            pool_future = self._loop.run_in_executor(
+                executor, self._execute, *args
+            )
+        asyncio.ensure_future(self._finish(job, pool_future, executor))
         self._set_gauges()
 
     def _publish_trace(self, job: Job) -> "dict[str, t.Any] | None":
@@ -688,10 +708,15 @@ class ExperimentService:
             return None
         return self._shm_cache.manifest()
 
-    async def _finish(self, job: Job, pool_future: "asyncio.Future") -> None:
+    async def _finish(
+        self, job: Job, pool_future: "asyncio.Future", executor: Executor
+    ) -> None:
         try:
             result, status = await pool_future
         except Exception as exc:  # noqa: BLE001 - per-job isolation
+            if isinstance(exc, BrokenProcessPool):
+                # The job's worker died; later jobs get a fresh pool.
+                self._replace_pool(executor)
             self._fail(job, exc)
         else:
             if self._cache is not None:

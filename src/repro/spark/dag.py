@@ -233,7 +233,6 @@ class DAGScheduler:
                 attempt=submissions,
                 hdfs_path=hdfs_path,
                 is_shuffle_map=stage.is_shuffle_map,
-                tasks=tasks,
             )
         tracer = self.sc.tracer
         stage_span = None

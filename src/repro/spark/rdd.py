@@ -88,9 +88,12 @@ class RDD(t.Generic[T]):
         return data
 
     def _observe(self, data: list[T]) -> None:
-        """Update the record-size estimate from computed data."""
+        """Fix the record-size estimate from the first computed data."""
         if self._record_bytes is None and data:
             self._record_bytes = estimate_record_bytes(data)
+            recorder = self.sc.trace_recorder
+            if recorder is not None:
+                recorder.note_estimate_set()
 
     @property
     def record_bytes(self) -> float:

@@ -8,40 +8,32 @@ This package splits the engine accordingly:
 - :mod:`repro.trace.capture` — Phase 1: one full run through the real
   engine, recording each task's behavioural residue plus DAG structure
   and workload outputs (:class:`~repro.trace.records.WorkloadTrace`);
-- :mod:`repro.trace.replay` — Phase 2: re-run only the DES scheduling
-  and memory timing/energy model over the captured residues for any
-  tier/MBA/socket configuration, bit-identical to direct simulation;
-- :mod:`repro.trace.fastreplay` — Phase 2, vectorized: a micro-kernel
-  re-timer that batch-prepares the residues with numpy and walks a
-  specialized event loop, bit-identical to DES replay at a fraction of
-  the cost; gated by :func:`fast_replay_eligibility` with automatic
-  fallback to DES replay;
+- :mod:`repro.trace.fastreplay` — Phase 2: a micro-kernel re-timer that
+  batch-prepares the residues with numpy and walks a specialized event
+  loop for any tier/MBA/socket configuration, bit-identical to direct
+  simulation;
+- :mod:`repro.trace.replay` — the compatibility gate and
+  :func:`run_with_trace`, which captures on a trace miss, replays a hit
+  and simulates directly when the config is not replayable or the
+  replay raises :class:`ReplayDivergence`;
 - :mod:`repro.trace.store` — content-addressed gzipped artifacts stored
   beside the campaign result cache;
 - :mod:`repro.trace.shm` — zero-copy shared-memory transport: the
   campaign/service parent decompresses each artifact once and pool
   workers attach numpy views instead of re-inflating it per point.
 
-Entry points: :func:`capture_experiment`, :func:`replay_experiment`,
-:func:`fast_replay_experiment`, :func:`run_with_trace` (store-mediated
-capture-or-replay with the fastreplay → DES replay → direct simulation
-fallback chain).
+Entry points: :func:`capture_experiment`, :func:`fast_replay_experiment`
+and :func:`run_with_trace` (store-mediated capture-or-replay with the
+replay → direct simulation fallback).
 """
 
 from repro.trace.capture import TraceRecorder, behavior_dict, capture_experiment
-from repro.trace.fastreplay import (
-    FastReplayUnsupported,
-    fast_replay_eligibility,
-    fast_replay_experiment,
-)
+from repro.trace.fastreplay import fast_replay_experiment
 from repro.trace.records import JobTrace, TaskSetTrace, WorkloadTrace
 from repro.trace.replay import (
     ReplayDivergence,
-    ReplayRDD,
-    TracePlayer,
     check_compatible,
     is_replayable_config,
-    replay_experiment,
     run_with_trace,
 )
 from repro.trace.shm import SegmentDescriptor, SharedTraceCache
@@ -53,13 +45,10 @@ from repro.trace.store import (
 )
 
 __all__ = [
-    "FastReplayUnsupported",
     "JobTrace",
     "ReplayDivergence",
-    "ReplayRDD",
     "SegmentDescriptor",
     "SharedTraceCache",
-    "TracePlayer",
     "TraceRecorder",
     "TraceStore",
     "TaskSetTrace",
@@ -68,11 +57,9 @@ __all__ = [
     "capture_experiment",
     "check_compatible",
     "clear_shared_view",
-    "fast_replay_eligibility",
     "fast_replay_experiment",
     "install_shared_view",
     "is_replayable_config",
-    "replay_experiment",
     "run_with_trace",
     "trace_key",
 ]

@@ -1,19 +1,24 @@
 """Phase 1: run a workload once, recording its behavioural residue.
 
 The :class:`TraceRecorder` hangs off the :class:`SparkContext` and is
-fed by three instrumentation points:
+fed by four instrumentation points:
 
 - ``DAGScheduler.run_job`` brackets each driver action
   (:meth:`begin_job`/:meth:`end_job`);
 - ``DAGScheduler._submit_stage_attempt`` brackets each task-set
   submission (:meth:`begin_task_set`/:meth:`end_task_set`), capturing
-  stage provenance, the output path and the ``least_loaded`` placement
-  weights;
+  stage provenance and the output path;
 - ``Executor._evaluate`` reports each task's residue the instant its
   partition pipeline finishes (:meth:`record_evaluation`) — evaluation
   is atomic in simulated time, so the un-drained
   :class:`~repro.spark.task.TaskContext` totals *are* the task's whole
-  contribution.
+  contribution;
+- ``RDD._observe`` reports when an evaluation fixes an RDD's record-size
+  estimate (:meth:`note_estimate_set`).  The estimate comes from the
+  first non-empty partition evaluated, so the residues of every later
+  task depend on which task that was; the trace records each task's
+  evaluation rank and whether it fixed an estimate, and replay checks
+  that order wherever it fixed one.
 
 Recording only observes; a captured run is bit-identical to an
 unrecorded one.  Anything the replay model cannot reproduce (a retried
@@ -69,6 +74,7 @@ class TraceRecorder:
         self._current_job: JobTrace | None = None
         self._pending_set: dict[str, t.Any] | None = None
         self._residues: dict[int, dict[str, t.Any]] | None = None
+        self._estimate_set = False
 
     # -- validity -----------------------------------------------------------------
     @property
@@ -101,26 +107,17 @@ class TraceRecorder:
         attempt: int,
         hdfs_path: str | None,
         is_shuffle_map: bool,
-        tasks: list["Task"],
     ) -> None:
         if self._current_job is None:
             self.mark_invalid("task set submitted outside a recorded job")
         if attempt > 0:
             self.mark_invalid("stage resubmission is timing-dependent")
-        weights: dict[int, int] = {}
-        for task in tasks:
-            slices = getattr(task.rdd, "_slices", None)
-            if slices is not None and task.partition < len(slices):
-                weights[task.task_id] = len(slices[task.partition])
-            else:
-                weights[task.task_id] = -1
         self._pending_set = {
             "stage_id": stage_id,
             "name": name,
             "attempt": attempt,
             "hdfs_path": hdfs_path,
             "is_shuffle_map": is_shuffle_map,
-            "weights": weights,
         }
         self._residues = {}
 
@@ -148,7 +145,6 @@ class TraceRecorder:
                     f"task {task.task_id} finished without a recorded residue"
                 )
                 return
-            residue["weight"] = pending["weights"][task.task_id]
             ordered.append(residue)
         if self._current_job is not None:
             self._current_job.task_sets.append(
@@ -162,7 +158,11 @@ class TraceRecorder:
                 )
             )
 
-    # -- executor hook -------------------------------------------------------------
+    # -- RDD and executor hooks ------------------------------------------------------
+    def note_estimate_set(self) -> None:
+        """The evaluation in progress fixed an RDD's record-size estimate."""
+        self._estimate_set = True
+
     def record_evaluation(
         self, task: "Task", ctx: "TaskContext", result: t.Any
     ) -> None:
@@ -173,6 +173,8 @@ class TraceRecorder:
         metrics accumulators started at zero, so their current values
         *are* the evaluation deltas.
         """
+        fixed_estimate = self._estimate_set
+        self._estimate_set = False
         if self._residues is None:
             self.mark_invalid("evaluation outside a recorded task set")
             return
@@ -218,6 +220,9 @@ class TraceRecorder:
             "result_len": result_len,
             "result_truthy": int(bool(result)),
             "record_bytes": task.rdd.record_bytes,
+            # Evaluation order, checked on replay where it fixed an estimate.
+            "eval_rank": len(self._residues),
+            "fixed_estimate": int(fixed_estimate),
         }
 
     # -- assembly ------------------------------------------------------------------

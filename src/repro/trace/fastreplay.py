@@ -1,35 +1,43 @@
-"""Fast-path replay: re-time a trace without the generic DES kernel.
+"""Trace replay: re-time a captured trace with a specialised micro-kernel.
 
-DES replay (:mod:`repro.trace.replay`) drives the *real* scheduler,
-executors and resources through the generic simulation kernel — every
-task pays for Event objects, condition churn and Process bookkeeping it
-never observes.  Fast replay exploits the fact that a replayable trace
-has a **fixed, fault-free workload shape**: round-robin placement, one
-attempt per task, no retries, no speculation, no injected losses.  Under
-that shape the event graph is known up front, so this module walks it
-with a specialised micro-kernel (a bare heap of ``(time, priority, seq)``
-entries driving plain generators) while calling the *unchanged* model
-arithmetic — :meth:`MemoryDevice.service_time`/:meth:`~MemoryDevice.record`,
-:meth:`CpuSpec.compute_seconds`, the datanode share formula, the RAPL/
-ipmctl readers and the derived-event formulas — against real
-:class:`MemoryDevice` instances.  Because both kernels schedule the same
-state-mutating events in the same relative order and every quantity is
-produced by the same code, every simulated time, counter and energy
-value is **bit-identical** to DES replay (and hence to direct
-simulation, which PR 4 pinned).
+A replayable trace has a **fixed, fault-free workload shape**:
+round-robin placement, one attempt per task, no retries, no
+speculation, no injected losses.  Under that shape the event graph is
+known up front, so this module walks it with a specialised micro-kernel
+(a bare heap of ``(time, priority, seq)`` entries driving plain
+generators) instead of the generic DES kernel, while calling the
+*unchanged* model arithmetic — :meth:`MemoryDevice.service_time`/
+:meth:`~MemoryDevice.record`, :meth:`CpuSpec.compute_seconds`, the
+datanode share formula, the RAPL/ipmctl readers and the derived-event
+formulas — against real :class:`MemoryDevice` instances.  Because the
+walk schedules the same state-mutating events in the same relative
+order as a direct run and every quantity is produced by the same code,
+every simulated time, counter and energy value is **bit-identical** to
+a direct simulation of the config
+(:func:`repro.core.experiment.run_experiment`).
 
 Residue preparation is numpy-vectorized: chunk counts, per-chunk
 profiles and HDFS output sizes are computed in batch straight from the
 columnar :class:`~repro.trace.records.TaskSetTrace` arrays before the
 walk starts.
 
-Geometries the micro-kernel cannot express raise
-:class:`FastReplayUnsupported`; :func:`repro.trace.replay.run_with_trace`
-falls back to DES replay (and from there to direct simulation), so the
-fast path is a pure optimisation with no behaviour change.
+**Evaluation order.**  An RDD's record-size estimate is fixed by the
+first non-empty partition evaluated (``RDD._observe``), so the
+residues of every later task depend on which task that was.  With
+several executors the evaluation order inside a stage can change with
+tier, MBA level and socket.  The capture records each task's
+evaluation rank and whether its evaluation fixed an estimate; at each
+task's evaluation point the walk checks that a task which fixed one
+finds exactly its capture-time predecessors already evaluated.  If
+not, it raises :class:`~repro.trace.replay.ReplayDivergence`
+("evaluation order differs from the capture") and
+:func:`repro.trace.replay.run_with_trace` simulates the point directly.
+Any other point the trace cannot reproduce — a trace/config mismatch, a
+failed checksum, an unsized result feeding an HDFS write — raises the
+same exception with the same fallback.
 
 Observed runs (``observe=``) take this path too: given an observer the
-re-timer emits the same span shapes DES replay produces — the
+re-timer emits the spans a direct simulation records — the
 experiment/phase/job/stage stack spans, retrospective task spans with
 their intra-task phases via :func:`repro.obs.hooks.emit_task_set_spans`,
 per-executor jvm-startup/stage-broadcast spans and per-stage device
@@ -37,7 +45,8 @@ counter samples — stamped with the identical simulated times, plus the
 ``job.*`` / ``experiment.*`` / ``mitigation.*`` registry metrics.  The
 ``sim.events_*`` counters count micro-kernel events (the walk never
 schedules through the generic kernel), which is the honest number for
-what actually ran.
+what actually ran, and replay records no ``shuffle.*`` counters because
+it never runs the shuffle manager.
 """
 
 from __future__ import annotations
@@ -74,17 +83,9 @@ from repro.spark.executor import (
 from repro.spark.metrics import JobMetrics, StageMetrics, TaskMetrics
 from repro.telemetry.collector import TelemetryCollector
 from repro.trace.records import JobTrace, TaskSetTrace, WorkloadTrace
-from repro.trace.replay import ReplayDivergence, check_compatible, is_replayable_config
+from repro.trace.replay import ReplayDivergence, check_compatible
 
-__all__ = [
-    "FastReplayUnsupported",
-    "fast_replay_eligibility",
-    "fast_replay_experiment",
-]
-
-
-class FastReplayUnsupported(RuntimeError):
-    """The micro-kernel cannot express this config/trace; use DES replay."""
+__all__ = ["fast_replay_experiment"]
 
 
 # -- micro-kernel ----------------------------------------------------------------
@@ -346,6 +347,9 @@ class _TaskData:
         "hdfs_io",
         "disk_io",
         "out_nbytes",
+        "is_shuffle_map",
+        "eval_rank",
+        "fixed_estimate",
     )
 
 
@@ -463,8 +467,14 @@ def _run_task(
     ex: _FastExecutor,
     dn: _FastDataNode,
     td: _TaskData,
+    order: list[int],
 ) -> t.Generator:
-    """One task attempt, op-for-op like ``Executor.run_task`` on replay."""
+    """One task attempt, op-for-op like ``Executor.run_task``.
+
+    ``order`` is the task set's ``[tasks evaluated, highest capture
+    rank among them]``, shared by its tasks for the evaluation-order
+    check.
+    """
     m = td.metrics
     m.task_id = td.task_id
     m.partition = td.partition
@@ -494,8 +504,16 @@ def _run_task(
     yield (_ACQUIRE, ex.threads)
     m.cpu_wait = kernel.now - cpu_wait_started
 
-    # Evaluation: inject the recorded residue (ReplayRDD.iterator +
-    # TaskContext.drain_profile, collapsed).
+    # Evaluation: inject the recorded residue (Executor._evaluate +
+    # TaskContext.drain_profile, collapsed).  A task whose capture-time
+    # evaluation fixed a record-size estimate must find exactly its
+    # capture-time predecessors evaluated, or the residues do not apply.
+    rank = td.eval_rank
+    if td.fixed_estimate and (order[0] != rank or order[1] > rank):
+        raise ReplayDivergence("evaluation order differs from the capture")
+    order[0] += 1
+    if rank > order[1]:
+        order[1] = rank
     m.bytes_read += td.m_bytes_read
     m.bytes_written += td.m_bytes_written
     m.records_read += td.m_records_read
@@ -540,9 +558,13 @@ def _run_task(
         if chunk_busy:
             yield from _access(kernel, ex, chunk_profile)
     if phases is not None:
-        # Replay tasks are all result-style (shuffle output was already
-        # registered at capture), so the payment phase is "compute".
-        phases.append(("compute", pay_started, kernel.now))
+        phases.append(
+            (
+                "shuffle-write" if td.is_shuffle_map else "compute",
+                pay_started,
+                kernel.now,
+            )
+        )
 
     # Spill traffic discovered during evaluation.
     if m.spill_bytes > 0:
@@ -556,10 +578,9 @@ def _run_task(
     out_nbytes = td.out_nbytes
     if out_nbytes is not None:
         if out_nbytes < 0:
-            # A truthy result that had no len(): DES replay's output
-            # branch raises TypeError inside the executor, which
-            # ``replay_experiment`` wraps — reproduce that exact verdict
-            # so the caller falls straight to direct simulation.
+            # A truthy result that had no len(): the executor's output
+            # write raises TypeError on it, which replay does not
+            # reproduce; the caller simulates the point directly.
             raise ReplayDivergence("replay failed: recorded result had no len()")
         output_started = kernel.now
         page = AccessProfile(bytes_read=out_nbytes, bytes_written=out_nbytes)
@@ -614,7 +635,7 @@ def _prepare_tasks(ts: TaskSetTrace, chunk_bytes: int) -> list[_TaskData]:
         out_sizes = (result_len * record_bytes).astype(np.int64)
         # Unsized results (recorded len of -1) keep a negative sentinel
         # regardless of record_bytes; the walk turns a truthy one into
-        # the same divergence verdict DES replay produces.
+        # a ReplayDivergence.
         out_sizes[result_len < 0] = -1
         out_nbytes = out_sizes.tolist()
         out_mask = truthy.tolist()
@@ -625,7 +646,7 @@ def _prepare_tasks(ts: TaskSetTrace, chunk_bytes: int) -> list[_TaskData]:
     cols = {
         name: arr.tolist()
         for name, arr in (*f.items(), *ints.items())
-        if name not in ("record_bytes", "result_len", "result_truthy", "weight")
+        if name not in ("record_bytes", "result_len", "result_truthy")
     }
     n_chunks_l = n_chunks.tolist()
     ops_chunk_l = ops_chunk.tolist()
@@ -646,6 +667,7 @@ def _prepare_tasks(ts: TaskSetTrace, chunk_bytes: int) -> list[_TaskData]:
         ]
 
     stage_id = ts.stage_id
+    is_shuffle_map = ts.is_shuffle_map
     out: list[_TaskData] = []
     for i in range(ts.num_tasks):
         td = _TaskData()
@@ -694,6 +716,9 @@ def _prepare_tasks(ts: TaskSetTrace, chunk_bytes: int) -> list[_TaskData]:
             ),
         ]
         td.out_nbytes = out_nbytes[i] if out_mask is not None and out_mask[i] else None
+        td.is_shuffle_map = is_shuffle_map
+        td.eval_rank = cols["eval_rank"][i]
+        td.fixed_estimate = cols["fixed_estimate"][i]
         out.append(td)
     return out
 
@@ -709,6 +734,7 @@ def _run_task_set(
 ) -> None:
     """One ``run_task_set``: broadcasts first, then round-robin tasks."""
     remaining = [len(executors) + len(tasks)]
+    order = [0, -1]
 
     def done() -> None:
         remaining[0] -= 1
@@ -718,7 +744,7 @@ def _run_task_set(
     pool_size = len(executors)
     for i, td in enumerate(tasks):
         ex = executors[i % pool_size]
-        kernel.spawn(_run_task(kernel, ex, dn, td), on_done=done)
+        kernel.spawn(_run_task(kernel, ex, dn, td, order), on_done=done)
     kernel.run_until(remaining)
 
 
@@ -734,11 +760,12 @@ def _replay_job(
     machine: t.Any | None = None,
     registry: t.Any | None = None,
 ) -> None:
-    """Mirror of ``TracePlayer._replay_job`` metric bookkeeping.
+    """Mirror of ``DAGScheduler.run_job``/``_submit_stage_attempt``
+    metric bookkeeping for one recorded job.
 
     Observed runs pass tracer/conf/machine/registry and get the same
     job/stage stack spans, retrospective task spans, device-counter
-    samples and ``job.*`` metrics DES replay records.
+    samples and ``job.*`` metrics a direct run records.
     """
     job = JobMetrics(
         job_id=job_trace.job_id,
@@ -797,30 +824,6 @@ def _replay_job(
     jobs.append(job)
 
 
-# -- eligibility gate ------------------------------------------------------------
-
-
-def fast_replay_eligibility(
-    config: ExperimentConfig, trace: WorkloadTrace
-) -> tuple[bool, str]:
-    """Static gate: can the micro-kernel express this point exactly?
-
-    Anything the fixed fault-free workload shape cannot cover — faults,
-    speculation, non-round-robin placement — is rejected so the caller
-    falls back to DES replay.  The unsized-result HDFS write residue is
-    expressible: the walk raises the same
-    :class:`~repro.trace.replay.ReplayDivergence` verdict DES replay
-    produces, without paying for a second doomed replay.
-    """
-    replayable, reason = is_replayable_config(config)
-    if not replayable:
-        return False, reason
-    policy = config.spark_conf().extra.get("scheduler_policy", "round_robin")
-    if policy != "round_robin":
-        return False, f"scheduler policy {policy!r} is not expressible"
-    return True, ""
-
-
 # -- entry point -----------------------------------------------------------------
 
 
@@ -829,23 +832,22 @@ def fast_replay_experiment(
     trace: WorkloadTrace,
     observer: t.Any | None = None,
 ) -> ExperimentResult:
-    """Re-time ``trace`` under ``config``; bit-identical to DES replay.
+    """Re-time ``trace`` under ``config``; bit-identical to a direct run.
 
-    Raises :class:`~repro.trace.replay.ReplayDivergence` for trace/config
-    mismatches (same contract as ``replay_experiment``) and
-    :class:`FastReplayUnsupported` for geometries the micro-kernel cannot
-    express; callers fall back to DES replay for the latter.  An
-    oversubscribed memory tier raises the identical ``MemoryError`` the
-    DES path produces.  An attached :class:`repro.obs.Observer` records
-    the replayed jobs with the same span shapes and registry metrics DES
-    replay emits, stamped with the identical simulated times.
+    Raises :class:`~repro.trace.replay.ReplayDivergence` whenever the
+    trace cannot stand in for a direct simulation of ``config``: a
+    trace/config mismatch, a failed checksum, an evaluation order that
+    differs from the capture's where it fixed a record-size estimate, or
+    any other failure during the walk.  Callers simulate directly
+    instead.  An oversubscribed memory tier raises the identical
+    ``MemoryError`` a direct run produces.  An attached
+    :class:`repro.obs.Observer` records the replayed jobs with the same
+    spans and registry metrics a direct run emits, stamped with the
+    identical simulated times.
     """
     check_compatible(trace, config)
     if not trace.intact:
         raise ReplayDivergence("trace artifact failed its checksum")
-    eligible, reason = fast_replay_eligibility(config, trace)
-    if not eligible:
-        raise FastReplayUnsupported(reason)
 
     env = (
         observer.make_environment()
@@ -926,14 +928,14 @@ def fast_replay_experiment(
                 replay_jobs(trace.jobs[trace.measured_from :])
             execution_time = kernel.now - run_started
             sample = collector.stop(view)
-    except (ReplayDivergence, FastReplayUnsupported):
+    except ReplayDivergence:
         if tracer is not None:
             tracer.finish()
         raise
     except Exception as exc:  # pragma: no cover - defensive fallback
         if tracer is not None:
             tracer.finish()
-        raise FastReplayUnsupported(f"fast replay failed: {exc}") from exc
+        raise ReplayDivergence(f"replay failed: {exc}") from exc
     finally:
         for ex in executors:
             ex.allocator.free_all()

@@ -49,8 +49,10 @@ FLOAT_FIELDS: tuple[str, ...] = (
 )
 
 #: Per-task residue fields stored as int64 columns.  ``result_len`` is
-#: ``-1`` for unsized results, ``weight`` is ``-1`` when the stage RDD
-#: exposed no partition slices (the ``least_loaded`` placement weight).
+#: ``-1`` for unsized results.  ``eval_rank`` is the task's position in
+#: its task set's evaluation order, and ``fixed_estimate`` is ``1`` when
+#: that evaluation fixed some RDD's record-size estimate: the residues of
+#: later tasks depend on it, so replay checks that order where it matters.
 INT_FIELDS: tuple[str, ...] = (
     "task_id",
     "partition",
@@ -64,7 +66,8 @@ INT_FIELDS: tuple[str, ...] = (
     "m_cache_misses",
     "result_len",
     "result_truthy",
-    "weight",
+    "eval_rank",
+    "fixed_estimate",
 )
 
 #: Ragged per-task I/O queues (ordered byte volumes), CSR-encoded as an
@@ -93,32 +96,6 @@ class TaskSetTrace:
     @property
     def num_tasks(self) -> int:
         return int(self.ints["task_id"].shape[0])
-
-    # -- batched conversion -------------------------------------------------------
-    def columns(self) -> dict[str, list]:
-        """All scalar columns as plain Python lists (one C call each).
-
-        Replay injects residues as native floats/ints so downstream JSON
-        serialization and bit-identity comparisons see the same types a
-        direct simulation produces.
-        """
-        out: dict[str, list] = {}
-        for name, arr in self.floats.items():
-            out[name] = arr.tolist()
-        for name, arr in self.ints.items():
-            out[name] = arr.tolist()
-        return out
-
-    def io_lists(self) -> dict[str, list[list[float]]]:
-        """Per-task I/O queues rebuilt from the CSR columns."""
-        out: dict[str, list[list[float]]] = {}
-        for kind, (offsets, values) in self.io.items():
-            flat = values.tolist()
-            bounds = offsets.tolist()
-            out[kind] = [
-                flat[bounds[i] : bounds[i + 1]] for i in range(len(bounds) - 1)
-            ]
-        return out
 
     def update_checksum(self, digest: "hashlib._Hash") -> None:
         digest.update(

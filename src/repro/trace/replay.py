@@ -1,42 +1,28 @@
-"""Phase 2: re-time a captured trace under a new configuration.
+"""Phase 2: resolve a point through the trace store.
 
-Replay rebuilds a fresh testbed for the target config and drives the
-*real* task scheduler over synthetic tasks whose "evaluation" injects
-the recorded residues instead of recomputing them.  Everything that
-costs simulated time — executor JVM startup, stage broadcasts, dispatch
-critical sections, control-plane churn, the chunked compute/memory
-payment loop, HDFS and disk transfers, spill traffic, MBA throttling,
-RAPL energy accounting — runs through the unchanged engine code against
-the new tier's devices, so simulated times, telemetry counters and
-energy come out bit-identical to a direct simulation of that config.
+:func:`run_with_trace` makes one decision per point.  A config whose
+behaviour depends on timing (fault injection, speculation) is simulated
+directly.  A trace hit is re-timed by the micro-kernel
+(:func:`repro.trace.fastreplay.fast_replay_experiment`), which returns
+exactly what a direct simulation of the config returns.  A trace miss
+runs the real engine once, recording a new trace
+(:func:`~repro.trace.capture.capture_experiment`).
 
-What replay deliberately skips: datagen, RDD pipelines, shuffle
-materialization, block-manager state and workload verification — their
-*effects* are already baked into the residues and recorded outputs.
-
-Divergence handling: configurations whose behaviour (not just timing)
-differs from the capture — fault injection, speculation, a different
-behaviour key, an engine/format version mismatch — are rejected up
-front; anything unexpected during replay (retries, lost tasks, stray
-attempts) raises :class:`ReplayDivergence`, and :func:`run_with_trace`
-falls back to full simulation.
+Replay refuses, by raising :class:`ReplayDivergence`, whenever the trace
+cannot stand in for the config: a different behaviour key, an
+engine/format version mismatch, a failed checksum, or a replay whose
+evaluation order differs from the capture's where that order fixed an
+RDD's record-size estimate.  :func:`run_with_trace` then logs the reason
+and simulates the point directly.
 """
 
 from __future__ import annotations
 
 import typing as t
 
-from repro.cluster.topology import paper_testbed
 from repro.core.experiment import ExperimentConfig, ExperimentResult, run_experiment
-from repro.memory.mba import BandwidthAllocator
-from repro.obs.hooks import sample_device_counters
-from repro.sim import Environment
-from repro.spark.context import SparkContext
-from repro.spark.metrics import JobMetrics, StageMetrics
-from repro.spark.task import Task
-from repro.telemetry.collector import TelemetryCollector
 from repro.trace.capture import behavior_dict, capture_experiment
-from repro.trace.records import JobTrace, TaskSetTrace, WorkloadTrace
+from repro.trace.records import WorkloadTrace
 from repro.version import ENGINE_VERSION, TRACE_FORMAT_VERSION
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -79,341 +65,8 @@ def check_compatible(trace: WorkloadTrace, config: ExperimentConfig) -> None:
         raise ReplayDivergence("config behaviour differs from the capture")
 
 
-class _ReplayResult:
-    """Stand-in for a recorded task result: same length and truthiness.
-
-    The executor's HDFS output-write branch only asks ``bool(result)``
-    and ``len(result)`` — this shim answers both exactly as the original
-    result did (including raising ``TypeError`` for unsized results).
-    """
-
-    __slots__ = ("_length", "_truthy")
-
-    def __init__(self, length: int, truthy: bool) -> None:
-        self._length = length
-        self._truthy = truthy
-
-    def __len__(self) -> int:
-        if self._length < 0:
-            raise TypeError("recorded result had no len()")
-        return self._length
-
-    def __bool__(self) -> bool:
-        return self._truthy
-
-
-class _SizedList:
-    """An object whose only property is its ``len`` (a slice stand-in)."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-
-    def __len__(self) -> int:
-        return self.n
-
-
-class ReplayRDD:
-    """Synthetic RDD whose iterator injects one recorded residue.
-
-    The injected charge totals and queued I/O are exactly what the
-    original pipeline accumulated; evaluation is atomic in simulated
-    time, so aggregate injection is indistinguishable from the original
-    interleaving of charge calls.
-    """
-
-    __slots__ = ("_columns", "_io", "_index", "_consumed", "_slices")
-
-    def __init__(
-        self,
-        columns: dict[str, list],
-        io_lists: dict[str, list[list[float]]],
-        index: int,
-    ) -> None:
-        self._columns = columns
-        self._io = io_lists
-        self._index = index
-        self._consumed = False
-        weight = columns["weight"][index]
-        if weight >= 0:
-            self._slices = _ReplaySlicesView(
-                columns["partition"][index], weight
-            )
-
-    @property
-    def record_bytes(self) -> float:
-        return self._columns["record_bytes"][self._index]
-
-    def iterator(self, partition: int, ctx: t.Any) -> _ReplayResult:
-        if self._consumed:
-            raise ReplayDivergence(
-                "replay task evaluated more than once (retry or speculation)"
-            )
-        self._consumed = True
-        cols, i = self._columns, self._index
-        ctx.charge(
-            ops=cols["compute_ops"][i],
-            read_bytes=cols["bytes_read"][i],
-            write_bytes=cols["bytes_written"][i],
-            random_reads=cols["random_reads"][i],
-            random_writes=cols["random_writes"][i],
-        )
-        ctx.pending_hdfs_reads.extend(self._io["hdfs_reads"][i])
-        ctx.pending_disk_reads.extend(self._io["disk_reads"][i])
-        ctx.pending_disk_writes.extend(self._io["disk_writes"][i])
-        metrics = ctx.metrics
-        metrics.bytes_read += cols["m_bytes_read"][i]
-        metrics.bytes_written += cols["m_bytes_written"][i]
-        metrics.records_read += cols["m_records_read"][i]
-        metrics.records_written += cols["m_records_written"][i]
-        metrics.shuffle_bytes_read += cols["m_shuffle_bytes_read"][i]
-        metrics.shuffle_bytes_written += cols["m_shuffle_bytes_written"][i]
-        metrics.shuffle_records_read += cols["m_shuffle_records_read"][i]
-        metrics.shuffle_records_written += cols["m_shuffle_records_written"][i]
-        metrics.local_fetches += cols["m_local_fetches"][i]
-        metrics.remote_fetches += cols["m_remote_fetches"][i]
-        metrics.spill_bytes += cols["m_spill_bytes"][i]
-        metrics.cache_hits += cols["m_cache_hits"][i]
-        metrics.cache_misses += cols["m_cache_misses"][i]
-        return _ReplayResult(
-            cols["result_len"][i], bool(cols["result_truthy"][i])
-        )
-
-
-class _ReplaySlicesView:
-    """``getattr(rdd, "_slices")`` stand-in for the least-loaded policy.
-
-    Supports exactly the scheduler's probe: ``task.partition <
-    len(slices)`` and ``len(slices[task.partition])``.
-    """
-
-    __slots__ = ("_partition", "_records")
-
-    def __init__(self, partition: int, records: int) -> None:
-        self._partition = partition
-        self._records = records
-
-    def __len__(self) -> int:
-        return self._partition + 1
-
-    def __getitem__(self, index: int) -> _SizedList:
-        return _SizedList(self._records)
-
-
-def _return_result(data: t.Any) -> t.Any:
-    """Result function for replay tasks (module-level, picklable)."""
-    return data
-
-
-class TracePlayer:
-    """Drives one SparkContext through a trace's recorded jobs."""
-
-    def __init__(self, sc: SparkContext, trace: WorkloadTrace) -> None:
-        self.sc = sc
-        self.trace = trace
-
-    def replay_jobs(self, jobs: list[JobTrace]) -> None:
-        for job_trace in jobs:
-            self._replay_job(job_trace)
-
-    def _replay_job(self, job_trace: JobTrace) -> None:
-        """Re-run one job's stage submissions against the live scheduler.
-
-        Mirrors ``DAGScheduler.run_job``/``_submit_stage_attempt``
-        metric bookkeeping exactly, so telemetry event derivation and
-        mitigation summaries see identical structures.
-        """
-        env = self.sc.env
-        tracer = self.sc.tracer
-        job = JobMetrics(
-            job_id=job_trace.job_id,
-            name=job_trace.name,
-            submit_time=env.now,
-        )
-        job_span = None
-        if tracer is not None:
-            job_span = tracer.begin(
-                job_trace.name or f"job-{job_trace.job_id}",
-                cat="job",
-                job_id=job_trace.job_id,
-                replayed=True,
-            )
-        for ts in job_trace.task_sets:
-            if ts.attempt > 0:
-                job.resubmitted_stages += 1
-            metrics = StageMetrics(
-                stage_id=ts.stage_id,
-                name=ts.name,
-                num_tasks=ts.num_tasks,
-                submit_time=env.now,
-                attempt=ts.attempt,
-            )
-            tasks = self._make_tasks(ts)
-            stage_span = None
-            if tracer is not None:
-                stage_span = tracer.begin(
-                    ts.name or f"stage-{ts.stage_id}",
-                    cat="stage",
-                    stage_id=ts.stage_id,
-                    attempt=ts.attempt,
-                    num_tasks=ts.num_tasks,
-                    replayed=True,
-                )
-            outcome = self.sc.task_scheduler.run_task_set(
-                tasks, hdfs_path=ts.hdfs_path
-            )
-            if tracer is not None:
-                tracer.end(stage_span)
-                sample_device_counters(tracer, self.sc.machine)
-            if (
-                not all(outcome.done)
-                or outcome.task_failures
-                or outcome.fetch_failures
-                or outcome.executors_lost
-                or outcome.speculative_launched
-                or len(outcome.attempts) != len(tasks)
-            ):
-                raise ReplayDivergence(
-                    f"stage {ts.stage_id} replay produced fault-tolerance "
-                    "activity absent from the capture"
-                )
-            metrics.tasks = [m for m in outcome.winners if m is not None]
-            metrics.attempts = list(outcome.attempts)
-            metrics.task_failures = outcome.task_failures
-            metrics.speculative_launched = outcome.speculative_launched
-            metrics.speculative_wins = outcome.speculative_wins
-            metrics.executors_lost = outcome.executors_lost
-            metrics.fetch_failures = outcome.fetch_failures
-            metrics.complete_time = env.now
-            job.stages.append(metrics)
-        job.complete_time = env.now
-        if tracer is not None:
-            tracer.end(job_span)
-        if self.sc.metrics is not None:
-            self.sc.metrics.inc_many(job.summary(), prefix="job.")
-        self.sc.jobs.append(job)
-
-    def _make_tasks(self, ts: TaskSetTrace) -> list[Task]:
-        columns = ts.columns()
-        io_lists = ts.io_lists()
-        return [
-            Task(
-                task_id=columns["task_id"][i],
-                stage_id=ts.stage_id,
-                partition=columns["partition"][i],
-                rdd=ReplayRDD(columns, io_lists, i),
-                # Shuffle output was already registered (and its charges
-                # recorded) at capture; replay tasks are all result-style.
-                shuffle_dep=None,
-                result_func=_return_result,
-            )
-            for i in range(ts.num_tasks)
-        ]
-
-
-def replay_experiment(
-    config: ExperimentConfig,
-    trace: WorkloadTrace,
-    observer: t.Any | None = None,
-) -> ExperimentResult:
-    """Re-time ``trace`` under ``config``; bit-identical to direct sim.
-
-    Raises :class:`ReplayDivergence` when the trace cannot reproduce the
-    config's behaviour (callers fall back to :func:`run_experiment`).
-    An attached :class:`repro.obs.Observer` records the replayed jobs
-    with the same span shapes a direct simulation produces.
-    """
-    check_compatible(trace, config)
-    if not trace.intact:
-        raise ReplayDivergence("trace artifact failed its checksum")
-    env = (
-        observer.make_environment()
-        if observer is not None
-        else Environment()
-    )
-    machine = paper_testbed(env)
-    sc = SparkContext(
-        env=env,
-        machine=machine,
-        conf=config.spark_conf(),
-        observer=observer,
-    )
-    tracer = sc.tracer
-    exp_span = None
-    if tracer is not None:
-        exp_span = tracer.begin(
-            config.describe(),
-            cat="experiment",
-            workload=config.workload,
-            size=config.size,
-            tier=config.tier,
-            socket=config.cpu_socket,
-            executors=config.num_executors,
-            cores=config.executor_cores,
-            mba_percent=config.mba_percent,
-            replayed=True,
-        )
-    player = TracePlayer(sc, trace)
-    try:
-        # Prepare-phase jobs ran before MBA throttling and telemetry.
-        if tracer is not None:
-            with tracer.span("prepare", cat="phase"):
-                player.replay_jobs(trace.jobs[: trace.measured_from])
-        else:
-            player.replay_jobs(trace.jobs[: trace.measured_from])
-        collector = TelemetryCollector(
-            env, machine, metrics=sc.metrics
-        )
-        with BandwidthAllocator(machine.devices(), percent=config.mba_percent):
-            collector.start(sc)
-            run_started = env.now
-            if tracer is not None:
-                with tracer.span("measure", cat="phase"):
-                    player.replay_jobs(trace.jobs[trace.measured_from :])
-            else:
-                player.replay_jobs(trace.jobs[trace.measured_from :])
-            execution_time = env.now - run_started
-            sample = collector.stop(sc)
-    except ReplayDivergence:
-        if tracer is not None:
-            tracer.finish()
-        raise
-    except Exception as exc:  # noqa: BLE001 - divergence, not a bug report
-        if tracer is not None:
-            tracer.finish()
-        raise ReplayDivergence(f"replay failed: {exc}") from exc
-
-    mitigation: dict[str, float] = {}
-    for job in sc.jobs:
-        for key, value in job.mitigation_summary().items():
-            mitigation[key] = mitigation.get(key, 0) + value
-    sc.stop()
-    if tracer is not None:
-        tracer.end(exp_span)
-    if sc.metrics is not None:
-        sc.metrics.set_gauge("experiment.execution_time", execution_time)
-        sc.metrics.set_gauge(
-            "experiment.records_processed", float(trace.records_processed)
-        )
-        sc.metrics.set_gauge("experiment.verified", float(trace.verified))
-        sc.metrics.inc_many(mitigation, prefix="mitigation.")
-    return ExperimentResult(
-        config=config,
-        execution_time=execution_time,
-        verified=trace.verified,
-        telemetry=sample,
-        records_processed=trace.records_processed,
-        mitigation=mitigation,
-    )
-
-
 def _note_divergence(
-    observer: t.Any | None,
-    config: ExperimentConfig,
-    exc: Exception,
-    *,
-    phase: str,
+    observer: t.Any | None, config: ExperimentConfig, exc: Exception
 ) -> None:
     """Post-mortem an abandoned replay: structured-log the divergence
     and (with a flight recorder configured) dump the attempt's spans and
@@ -421,17 +74,14 @@ def _note_divergence(
     if observer is not None and hasattr(observer, "note_divergence"):
         observer.note_divergence(
             f"replay-{config_hash_short(config)}",
-            f"{phase}: {exc}",
+            f"replay: {exc}",
             label=config.describe(),
         )
     else:
         from repro.obs.log import get_log
 
         get_log().warning(
-            "replay.divergence",
-            phase=phase,
-            config=config.describe(),
-            error=str(exc),
+            "replay.divergence", config=config.describe(), error=str(exc)
         )
 
 
@@ -445,65 +95,38 @@ def run_with_trace(
     config: ExperimentConfig,
     store: "TraceStore",
     observer: t.Any | None = None,
-    fast_replay: bool = True,
 ) -> tuple[ExperimentResult, str]:
     """Resolve one point through the trace store.
 
     Returns ``(result, how)`` where ``how`` is ``"replayed"`` (trace
-    hit), ``"captured"`` (trace miss — ran the full engine and saved a
-    new artifact) or ``"direct"`` (not replayable, or replay diverged
-    and fell back to full simulation).
-
-    Trace hits try the vectorized fast path first
-    (:func:`repro.trace.fastreplay.fast_replay_experiment` — bit-
-    identical, several times faster) and fall back to DES replay when
-    the micro-kernel cannot express the point
-    (:class:`~repro.trace.fastreplay.FastReplayUnsupported`).  Observed
-    runs take the fast path too — it emits the same span shapes and
-    registry metrics DES replay records.  A fast-path
-    :class:`ReplayDivergence` is the same verdict DES replay would
-    reach (compatibility, checksum, unsized-result writes), so it goes
-    straight to direct simulation instead of paying for a second doomed
-    replay.  ``fast_replay=False`` forces DES replay for every hit.
+    hit), ``"captured"`` (trace miss: ran the full engine and saved a
+    new artifact) or ``"direct"`` (not replayable, or the replay raised
+    :class:`ReplayDivergence` and the point was simulated in full).
+    Observed runs take the same path; the re-timer emits the spans and
+    registry metrics a direct run records.
     """
     replayable, _ = is_replayable_config(config)
     if not replayable:
         return run_experiment(config, observer=observer), "direct"
     trace = store.load(config)
-    if trace is not None:
-        if fast_replay:
-            from repro.trace import fastreplay as _fastreplay
+    if trace is None:
+        result, captured = capture_experiment(config, observer=observer)
+        if captured is not None:
+            store.save(config, captured)
+        return result, "captured"
+    # Resolved as a module attribute at call time, so a profiler's
+    # wrapper over it sees every replay.
+    from repro.trace import fastreplay
 
-            try:
-                return (
-                    _fastreplay.fast_replay_experiment(
-                        config, trace, observer=observer
-                    ),
-                    "replayed",
-                )
-            except _fastreplay.FastReplayUnsupported:
-                # Inexpressible point: DES replay below.  Drop any spans
-                # the abandoned attempt recorded.
-                if observer is not None:
-                    observer.reset()
-            except ReplayDivergence as exc:
-                _note_divergence(observer, config, exc, phase="fast-replay")
-                if observer is not None:
-                    observer.reset()
-                return run_experiment(config, observer=observer), "direct"
-        try:
-            return (
-                replay_experiment(config, trace, observer=observer),
-                "replayed",
-            )
-        except ReplayDivergence as exc:
-            _note_divergence(observer, config, exc, phase="des-replay")
-            if observer is not None:
-                # The abandoned replay's spans must not pollute the
-                # fallback run's artifacts.
-                observer.reset()
-            return run_experiment(config, observer=observer), "direct"
-    result, captured = capture_experiment(config, observer=observer)
-    if captured is not None:
-        store.save(config, captured)
-    return result, "captured"
+    try:
+        return (
+            fastreplay.fast_replay_experiment(config, trace, observer=observer),
+            "replayed",
+        )
+    except ReplayDivergence as exc:
+        _note_divergence(observer, config, exc)
+        if observer is not None:
+            # The abandoned replay's spans must not pollute the
+            # fallback run's artifacts.
+            observer.reset()
+        return run_experiment(config, observer=observer), "direct"

@@ -18,7 +18,8 @@ from __future__ import annotations
 ENGINE_VERSION = "4"
 
 #: Bump when :class:`repro.trace.records.WorkloadTrace` layout changes.
-TRACE_FORMAT_VERSION = 1
+#: 2: per-task ``eval_rank``/``fixed_estimate`` columns replace ``weight``.
+TRACE_FORMAT_VERSION = 2
 
 #: Bump when the observability artifact layout changes — the flat
 #: metrics JSON payload (:meth:`repro.obs.MetricsRegistry.to_dict`), the

@@ -216,7 +216,7 @@ def test_replay_matches_pinned_experiments(
     """Trace replay extends the value-identical guarantee: capturing the
     workload on a *different* tier and replaying it onto the pinned one
     must land exactly on the seed engine's golden numbers."""
-    from repro.trace import capture_experiment, replay_experiment
+    from repro.trace import capture_experiment, fast_replay_experiment
 
     workload, size, tier = point
     capture_config = ExperimentConfig(
@@ -224,7 +224,7 @@ def test_replay_matches_pinned_experiments(
     )
     _, trace = capture_experiment(capture_config)
     assert trace is not None
-    result = replay_experiment(capture_config.with_options(tier=tier), trace)
+    result = fast_replay_experiment(capture_config.with_options(tier=tier), trace)
     _assert_matches_pins(result, expected_time, expected_records, energy_pin, dimm_pin)
 
 

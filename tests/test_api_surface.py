@@ -84,7 +84,7 @@ def test_session_surface_is_pinned():
 def test_run_options_fields_are_pinned():
     assert OPTION_FIELDS == (
         "workers", "cache_dir", "observe", "reuse_traces",
-        "fast_replay", "dataset_cache", "trace_dir", "dataset_dir",
+        "dataset_cache", "trace_dir", "dataset_dir",
         "resume", "priority", "metrics_port",
     )
     options = RunOptions()
@@ -92,7 +92,6 @@ def test_run_options_fields_are_pinned():
     assert options.cache_dir is None
     assert options.observe is None
     assert options.reuse_traces is True
-    assert options.fast_replay is True
     assert options.dataset_cache is True
     assert options.trace_dir is None
     assert options.dataset_dir is None

@@ -16,8 +16,8 @@ from repro.trace import (
     ReplayDivergence,
     capture_experiment,
     check_compatible,
+    fast_replay_experiment,
     is_replayable_config,
-    replay_experiment,
     run_with_trace,
     trace_key,
 )
@@ -67,7 +67,7 @@ def test_replay_equals_direct_simulation(workload, tier, mba, socket, geometry):
         executor_cores=cores,
     )
     trace = capture_for(config)
-    replayed = replay_experiment(config, trace)
+    replayed = fast_replay_experiment(config, trace)
     direct = run_experiment(config)
     assert result_to_dict(replayed) == result_to_dict(direct)
 
@@ -80,7 +80,7 @@ def test_one_capture_serves_every_tier():
     assert trace is not None
     for tier in range(4):
         target = config.with_options(tier=tier)
-        assert result_to_dict(replay_experiment(target, trace)) == result_to_dict(
+        assert result_to_dict(fast_replay_experiment(target, trace)) == result_to_dict(
             run_experiment(target)
         )
 
@@ -127,7 +127,7 @@ def test_corrupted_residues_fail_the_checksum():
     trace.jobs[-1].task_sets[0].floats["compute_ops"][0] += 1.0
     assert not trace.intact
     with pytest.raises(ReplayDivergence):
-        replay_experiment(config, trace)
+        fast_replay_experiment(config, trace)
 
 
 class _StubStore:

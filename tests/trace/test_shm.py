@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.resultstore import result_to_dict
-from repro.core.experiment import ExperimentConfig
+from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.runner import run_campaign
 from repro.trace import (
     SharedTraceCache,
@@ -21,7 +21,6 @@ from repro.trace import (
     clear_shared_view,
     fast_replay_experiment,
     install_shared_view,
-    replay_experiment,
     trace_key,
 )
 from repro.trace.shm import _SEGMENT_PREFIX, attach
@@ -72,7 +71,7 @@ def test_publish_attach_roundtrip_is_bit_identical(captured):
             target = config.with_options(tier=tier)
             assert result_to_dict(
                 fast_replay_experiment(target, rebuilt)
-            ) == result_to_dict(replay_experiment(target, trace))
+            ) == result_to_dict(run_experiment(target))
     finally:
         cache.close()
 

@@ -8,7 +8,12 @@ import pickle
 
 from repro.analysis.resultstore import result_to_dict
 from repro.core.experiment import ExperimentConfig, run_experiment
-from repro.trace import TraceStore, capture_experiment, replay_experiment, trace_key
+from repro.trace import (
+    TraceStore,
+    capture_experiment,
+    fast_replay_experiment,
+    trace_key,
+)
 import repro.trace.store as store_module
 
 
@@ -52,7 +57,7 @@ def test_save_load_round_trip_supports_replay(tmp_path):
     assert loaded is not None
     assert loaded.checksum == trace.checksum and loaded.intact
     target = config.with_options(tier=3)
-    assert result_to_dict(replay_experiment(target, loaded)) == result_to_dict(
+    assert result_to_dict(fast_replay_experiment(target, loaded)) == result_to_dict(
         run_experiment(target)
     )
 
