@@ -19,6 +19,9 @@ accesses — and the device turns each burst into simulated time:
 
 Determinism: service times depend only on the burst, the device state at
 admission time, and static parameters — repeated runs are bit-identical.
+That purity is also what lets each device memoize its arithmetic by
+value (see :meth:`MemoryDevice.service_time` and
+:meth:`MemoryDevice.record`).
 """
 
 from __future__ import annotations
@@ -177,9 +180,7 @@ class MemoryDevice:
         self._busy_since: float | None = None
         #: MBA throttle: fraction of peak bandwidth deliverable (0, 1].
         self._mba_fraction = 1.0
-        #: Last ``record()`` computation, keyed by profile object identity
-        #: (chunked payment replays the same profile object many times).
-        self._record_cache: tuple[AccessProfile, AccessCounters, AccessCounters] | None = None
+        self._reset_memos()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -298,6 +299,18 @@ class MemoryDevice:
         streams = max(1, self._active_streams)
         return max(1.0, min(core_stream_bw, peak / streams, path.bandwidth_cap))
 
+    def _reset_memos(self) -> None:
+        """Start the value memos of ``service_time`` and ``record`` afresh
+        for the current ``technology``.  Both call it whenever
+        ``technology`` is no longer the object the memos were built for:
+        :func:`repro.memory.faults.age_device` swaps it on a live device,
+        and swaps it back."""
+        self._service_memo: dict[tuple, float] = {}
+        self._record_memo: dict[
+            AccessProfile, tuple[AccessCounters, AccessCounters]
+        ] = {}
+        self._memo_technology = self.technology
+
     def service_time(
         self,
         profile: AccessProfile,
@@ -306,7 +319,42 @@ class MemoryDevice:
         mlp_read: float | None = None,
         mlp_write: float | None = None,
     ) -> float:
-        """Time to serve ``profile`` at the *current* contention level."""
+        """Time to serve ``profile`` at the *current* contention level.
+
+        Memoized by value on every input the arithmetic reads: the
+        profile, path, core bandwidth and MLP overrides, plus the active
+        stream count and MBA fraction at call time (the technology and
+        DIMM count are fixed for the memo's lifetime).  Equal inputs
+        give the identical float, so a hit returns exactly what a fresh
+        computation would.
+        """
+        if self.technology is not self._memo_technology:
+            self._reset_memos()
+        key = (
+            profile,
+            path,
+            core_stream_bw,
+            mlp_read,
+            mlp_write,
+            self._active_streams,
+            self._mba_fraction,
+        )
+        memo = self._service_memo
+        total = memo.get(key)
+        if total is None:
+            total = memo[key] = self._service_time(
+                profile, path, core_stream_bw, mlp_read, mlp_write
+            )
+        return total
+
+    def _service_time(
+        self,
+        profile: AccessProfile,
+        path: PathCharacteristics,
+        core_stream_bw: float,
+        mlp_read: float | None,
+        mlp_write: float | None,
+    ) -> float:
         tech = self.technology
         mlp_r = tech.mlp_read if mlp_read is None else mlp_read
         mlp_w = tech.mlp_write if mlp_write is None else mlp_write
@@ -407,19 +455,27 @@ class MemoryDevice:
         at the media and therefore count as a full granule write — the write
         amplification that burns Optane endurance).
 
-        Chunked payment (:meth:`Executor._pay`) serves the *same* profile
-        object up to eight times in a row; the per-profile delta is pure,
-        so it is computed once and replayed by identity.  Replaying adds
-        the identical integer deltas the unmemoized path would, keeping
+        The device and per-DIMM deltas depend only on the profile's
+        values, the technology's granule and the DIMM count, so they are
+        memoized by profile value: chunked payment, control traffic and
+        replay serve equal profiles over and over.  A hit adds the
+        identical integer deltas a fresh computation would, keeping
         every counter bit-identical.
         """
-        cached = self._record_cache
-        if cached is not None and cached[0] is profile:
-            delta, per_dimm = cached[1], cached[2]
-            self.counters.add(delta)
-            for dimm in self.dimms:
-                dimm.record(per_dimm)
-            return
+        if self.technology is not self._memo_technology:
+            self._reset_memos()
+        deltas = self._record_memo.get(profile)
+        if deltas is None:
+            deltas = self._record_memo[profile] = self._record_deltas(profile)
+        delta, per_dimm = deltas
+        self.counters.add(delta)
+        for dimm in self.dimms:
+            dimm.record(per_dimm)
+
+    def _record_deltas(
+        self, profile: AccessProfile
+    ) -> tuple[AccessCounters, AccessCounters]:
+        """The device delta of one burst and each DIMM's share of it."""
         gran = self.technology.access_granularity
         delta = AccessCounters(
             media_reads=int(math.ceil(profile.bytes_read / gran))
@@ -433,7 +489,6 @@ class MemoryDevice:
             random_reads=int(round(profile.random_reads)),
             random_writes=int(round(profile.random_writes)),
         )
-        self.counters.add(delta)
         # Interleaving spreads traffic evenly across the DIMMs.
         share = 1.0 / self.dimm_count
         per_dimm = AccessCounters(
@@ -444,6 +499,4 @@ class MemoryDevice:
             random_reads=int(round(delta.random_reads * share)),
             random_writes=int(round(delta.random_writes * share)),
         )
-        self._record_cache = (profile, delta, per_dimm)
-        for dimm in self.dimms:
-            dimm.record(per_dimm)
+        return delta, per_dimm

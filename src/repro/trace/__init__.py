@@ -9,9 +9,9 @@ This package splits the engine accordingly:
   engine, recording each task's behavioural residue plus DAG structure
   and workload outputs (:class:`~repro.trace.records.WorkloadTrace`);
 - :mod:`repro.trace.fastreplay` — Phase 2: a micro-kernel re-timer that
-  batch-prepares the residues with numpy and walks a specialized event
-  loop for any tier/MBA/socket configuration, bit-identical to direct
-  simulation;
+  compiles each decoded trace's residues once (numpy-batched) and walks
+  a specialized event loop for any tier/MBA/socket configuration,
+  bit-identical to direct simulation;
 - :mod:`repro.trace.replay` — the compatibility gate and
   :func:`run_with_trace`, which captures on a trace miss, replays a hit
   and simulates directly when the config is not replayable or the

@@ -16,10 +16,19 @@ every simulated time, counter and energy value is **bit-identical** to
 a direct simulation of the config
 (:func:`repro.core.experiment.run_experiment`).
 
-Residue preparation is numpy-vectorized: chunk counts, per-chunk
-profiles and HDFS output sizes are computed in batch straight from the
-columnar :class:`~repro.trace.records.TaskSetTrace` arrays before the
-walk starts.
+**Compile once, bind per replay.**  What the walk needs from a trace
+does not depend on the timing point: per-task chunk counts, the
+per-chunk and I/O access profiles, HDFS output sizes, metric deltas and
+evaluation ranks.  The first replay of a decoded trace compiles them
+(numpy-vectorized over the columnar
+:class:`~repro.trace.records.TaskSetTrace` arrays) into an immutable
+plan kept on that trace object, keyed by the checksum every replay
+verifies plus the shuffle chunk size; later replays only bind a fresh
+``TaskMetrics`` per task.  The plan is not a dataclass field, so it is
+never pickled, checksummed or compared, and it goes when the decoded
+trace does.  Every burst still goes through the device's
+``service_time``/``record``, whose value memos make the many repeated
+bursts of a replay cheap.
 
 **Evaluation order.**  An RDD's record-size estimate is fixed by the
 first non-empty partition evaluated (``RDD._observe``), so the
@@ -256,6 +265,7 @@ class _FastExecutor:
         "cpu",
         "dispatch_overhead",
         "control_writes",
+        "control_profiles",
         "allocator",
         "_heap",
         "startup_ev",
@@ -283,6 +293,9 @@ class _FastExecutor:
         self.cpu = socket.cpu
         self.dispatch_overhead = conf.task_dispatch_overhead
         self.control_writes = conf.task_control_writes
+        #: Control-traffic burst per live slot count (it depends on
+        #: nothing else).
+        self.control_profiles: dict[int, AccessProfile] = {}
         # Strict membind, in executor order — an oversubscribed tier
         # raises the identical MemoryError a DES run would.
         self.allocator = MembindAllocator(memory.device)
@@ -318,12 +331,16 @@ class _FastDataNode:
 
 
 class _TaskData:
-    """Everything one replayed task attempt needs, prepared in batch."""
+    """One task's compiled residue: everything its replayed attempt needs
+    except the ``TaskMetrics`` it fills, which each replay binds afresh.
+
+    Built once per trace by :func:`_compile_task_set` and shared by every
+    replay of that trace, so nothing may mutate it after compilation.
+    """
 
     __slots__ = (
         "task_id",
         "partition",
-        "metrics",
         "m_bytes_read",
         "m_bytes_written",
         "m_records_read",
@@ -401,17 +418,26 @@ def _transfer(kernel: _MicroKernel, dn: _FastDataNode, nbytes: int, write: bool)
         dn.node.bytes_read += nbytes
 
 
+#: The executor's fixed JVM-startup and stage-broadcast bursts.
+_STARTUP_PROFILE = AccessProfile(
+    bytes_read=STARTUP_STREAM_BYTES,
+    bytes_written=STARTUP_STREAM_BYTES,
+    random_reads=STARTUP_RANDOM_READS,
+    random_writes=STARTUP_RANDOM_WRITES,
+)
+_BROADCAST_PROFILE = AccessProfile(
+    bytes_read=STAGE_BROADCAST_BYTES,
+    bytes_written=STAGE_BROADCAST_BYTES,
+    random_reads=0.7 * STAGE_BROADCAST_WRITES,
+    random_writes=0.3 * STAGE_BROADCAST_WRITES,
+)
+
+
 def _startup(kernel: _MicroKernel, ex: _FastExecutor) -> t.Generator:
     """``Executor._startup``: JVM launch cost on the bound tier."""
     started = kernel.now
     yield (_TIMEOUT, STARTUP_CPU_SECONDS)
-    profile = AccessProfile(
-        bytes_read=STARTUP_STREAM_BYTES,
-        bytes_written=STARTUP_STREAM_BYTES,
-        random_reads=STARTUP_RANDOM_READS,
-        random_writes=STARTUP_RANDOM_WRITES,
-    )
-    yield from _access(kernel, ex, profile)
+    yield from _access(kernel, ex, _STARTUP_PROFILE)
     if ex.tracer is not None:
         ex.tracer.emit(
             "jvm-startup",
@@ -427,12 +453,14 @@ def _startup(kernel: _MicroKernel, ex: _FastExecutor) -> t.Generator:
 def _control_traffic(kernel: _MicroKernel, ex: _FastExecutor) -> t.Generator:
     """``Executor._control_traffic``: churn sampled at live slot count."""
     concurrent = max(1, ex.slots.count)
-    churn = ex.control_writes + GC_WRITES_PER_CONCURRENT_TASK * concurrent
-    profile = AccessProfile(
-        bytes_written=TASK_CONTROL_BYTES,
-        random_reads=0.7 * churn,
-        random_writes=0.3 * churn,
-    )
+    profile = ex.control_profiles.get(concurrent)
+    if profile is None:
+        churn = ex.control_writes + GC_WRITES_PER_CONCURRENT_TASK * concurrent
+        profile = ex.control_profiles[concurrent] = AccessProfile(
+            bytes_written=TASK_CONTROL_BYTES,
+            random_reads=0.7 * churn,
+            random_writes=0.3 * churn,
+        )
     yield from _access(kernel, ex, profile)
 
 
@@ -442,13 +470,7 @@ def _broadcast(kernel: _MicroKernel, ex: _FastExecutor) -> t.Generator:
     started = kernel.now
     yield (_ACQUIRE, ex.dispatch)
     yield (_TIMEOUT, STAGE_SETUP_OVERHEAD)
-    profile = AccessProfile(
-        bytes_read=STAGE_BROADCAST_BYTES,
-        bytes_written=STAGE_BROADCAST_BYTES,
-        random_reads=0.7 * STAGE_BROADCAST_WRITES,
-        random_writes=0.3 * STAGE_BROADCAST_WRITES,
-    )
-    yield from _access(kernel, ex, profile)
+    yield from _access(kernel, ex, _BROADCAST_PROFILE)
     kernel.release(ex.dispatch)
     if ex.tracer is not None:
         ex.tracer.emit(
@@ -467,15 +489,16 @@ def _run_task(
     ex: _FastExecutor,
     dn: _FastDataNode,
     td: _TaskData,
+    m: TaskMetrics,
     order: list[int],
 ) -> t.Generator:
     """One task attempt, op-for-op like ``Executor.run_task``.
 
-    ``order`` is the task set's ``[tasks evaluated, highest capture
-    rank among them]``, shared by its tasks for the evaluation-order
-    check.
+    ``td`` is the task's compiled residue and ``m`` the fresh metrics
+    record this replay fills.  ``order`` is the task set's ``[tasks
+    evaluated, highest capture rank among them]``, shared by its tasks
+    for the evaluation-order check.
     """
-    m = td.metrics
     m.task_id = td.task_id
     m.partition = td.partition
     m.executor_id = ex.executor_id
@@ -545,9 +568,8 @@ def _run_task(
     if phases is not None and had_fetch:
         phases.append(("fetch", fetch_started, kernel.now))
 
-    # Chunked compute/memory payment (Executor._pay): the same chunk
-    # profile object is served repeatedly, so the device's identity-keyed
-    # record cache replays identical integer deltas.
+    # Chunked compute/memory payment (Executor._pay): one chunk profile
+    # served ``n_chunks`` times.
     pay_started = kernel.now
     ops_chunk = td.ops_chunk
     chunk_profile = td.chunk_profile
@@ -599,11 +621,11 @@ def _run_task(
     m.finish_time = kernel.now
 
 
-# -- batched residue preparation -------------------------------------------------
+# -- compiled plan ---------------------------------------------------------------
 
 
-def _prepare_tasks(ts: TaskSetTrace, chunk_bytes: int) -> list[_TaskData]:
-    """Vectorized prep of one stage's residues from the columnar arrays.
+def _compile_task_set(ts: TaskSetTrace, chunk_bytes: int) -> tuple[_TaskData, ...]:
+    """Compile one stage's residues from the columnar arrays.
 
     Chunk counts, per-chunk profile fields and HDFS output sizes follow
     the exact scalar arithmetic of ``Executor._pay`` / ``run_task``
@@ -666,16 +688,12 @@ def _prepare_tasks(ts: TaskSetTrace, chunk_bytes: int) -> list[_TaskData]:
             for i in range(len(bounds) - 1)
         ]
 
-    stage_id = ts.stage_id
     is_shuffle_map = ts.is_shuffle_map
     out: list[_TaskData] = []
     for i in range(ts.num_tasks):
         td = _TaskData()
         td.task_id = cols["task_id"][i]
         td.partition = cols["partition"][i]
-        metrics = TaskMetrics()
-        metrics.stage_id = stage_id
-        td.metrics = metrics
         td.m_bytes_read = cols["m_bytes_read"][i]
         td.m_bytes_written = cols["m_bytes_written"][i]
         td.m_records_read = cols["m_records_read"][i]
@@ -720,7 +738,33 @@ def _prepare_tasks(ts: TaskSetTrace, chunk_bytes: int) -> list[_TaskData]:
         td.eval_rank = cols["eval_rank"][i]
         td.fixed_estimate = cols["fixed_estimate"][i]
         out.append(td)
-    return out
+    return tuple(out)
+
+
+#: Compiled plan: per job, per task set, its compiled tasks.
+_Plan = tuple[tuple[tuple[_TaskData, ...], ...], ...]
+
+
+def _compiled_plan(trace: WorkloadTrace, chunk_bytes: int) -> _Plan:
+    """``trace``'s compiled residues, built on its first replay.
+
+    The plan is kept on the trace object (not a dataclass field, so it
+    is neither pickled, checksummed nor compared) under the checksum the
+    caller has just verified plus the chunk size, so a trace whose
+    residues were re-sealed compiles afresh.  It dies with the decoded
+    trace, e.g. when :class:`~repro.trace.store.TraceStore`'s load cache
+    drops it.
+    """
+    key = (trace.checksum, chunk_bytes)
+    cached = getattr(trace, "_replay_plan", None)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    plan = tuple(
+        tuple(_compile_task_set(ts, chunk_bytes) for ts in job.task_sets)
+        for job in trace.jobs
+    )
+    trace._replay_plan = (key, plan)
+    return plan
 
 
 # -- stage/job walk --------------------------------------------------------------
@@ -730,9 +774,11 @@ def _run_task_set(
     kernel: _MicroKernel,
     executors: list[_FastExecutor],
     dn: _FastDataNode,
-    tasks: list[_TaskData],
+    tasks: tuple[_TaskData, ...],
+    winners: list[TaskMetrics],
 ) -> None:
-    """One ``run_task_set``: broadcasts first, then round-robin tasks."""
+    """One ``run_task_set``: broadcasts first, then round-robin tasks,
+    each compiled task filling its bound metrics record."""
     remaining = [len(executors) + len(tasks)]
     order = [0, -1]
 
@@ -744,7 +790,7 @@ def _run_task_set(
     pool_size = len(executors)
     for i, td in enumerate(tasks):
         ex = executors[i % pool_size]
-        kernel.spawn(_run_task(kernel, ex, dn, td, order), on_done=done)
+        kernel.spawn(_run_task(kernel, ex, dn, td, winners[i], order), on_done=done)
     kernel.run_until(remaining)
 
 
@@ -754,7 +800,7 @@ def _replay_job(
     dn: _FastDataNode,
     jobs: list[JobMetrics],
     job_trace: JobTrace,
-    chunk_bytes: int,
+    job_plan: tuple[tuple[_TaskData, ...], ...],
     tracer: t.Any | None = None,
     conf: t.Any | None = None,
     machine: t.Any | None = None,
@@ -780,7 +826,7 @@ def _replay_job(
             job_id=job_trace.job_id,
             replayed=True,
         )
-    for ts in job_trace.task_sets:
+    for ts, tasks in zip(job_trace.task_sets, job_plan):
         if ts.attempt > 0:
             job.resubmitted_stages += 1
         metrics = StageMetrics(
@@ -790,7 +836,8 @@ def _replay_job(
             submit_time=kernel.now,
             attempt=ts.attempt,
         )
-        tasks = _prepare_tasks(ts, chunk_bytes)
+        # Bind: the only per-replay task state is a fresh metrics record.
+        winners = [TaskMetrics(stage_id=ts.stage_id) for _ in tasks]
         stage_span = None
         if tracer is not None:
             stage_span = tracer.begin(
@@ -804,8 +851,7 @@ def _replay_job(
         if registry is not None:
             # One launch per task, as the scheduler counts them.
             registry.inc("scheduler.attempts_launched", float(len(tasks)))
-        _run_task_set(kernel, executors, dn, tasks)
-        winners = [td.metrics for td in tasks]
+        _run_task_set(kernel, executors, dn, tasks, winners)
         if tracer is not None:
             # The scheduler emits task spans before the stage span
             # closes; keep that nesting.
@@ -872,7 +918,6 @@ def fast_replay_experiment(
     ]
     dn = _FastDataNode(hdfs)
     view = _JobsView()
-    chunk_bytes = conf.shuffle_chunk_bytes
 
     tracer = registry = None
     exp_span = None
@@ -895,37 +940,39 @@ def fast_replay_experiment(
             replayed=True,
         )
 
-    def replay_jobs(jobs: list[JobTrace]) -> None:
-        for job_trace in jobs:
+    def replay_jobs(first: int, stop: int | None) -> None:
+        for job_trace, job_plan in zip(trace.jobs[first:stop], plan[first:stop]):
             _replay_job(
                 kernel,
                 executors,
                 dn,
                 view.jobs,
                 job_trace,
-                chunk_bytes,
+                job_plan,
                 tracer=tracer,
                 conf=conf,
                 machine=machine,
                 registry=registry,
             )
 
+    measured_from = trace.measured_from
     try:
+        plan = _compiled_plan(trace, conf.shuffle_chunk_bytes)
         # Prepare-phase jobs ran before MBA throttling and telemetry.
         if tracer is not None:
             with tracer.span("prepare", cat="phase"):
-                replay_jobs(trace.jobs[: trace.measured_from])
+                replay_jobs(0, measured_from)
         else:
-            replay_jobs(trace.jobs[: trace.measured_from])
+            replay_jobs(0, measured_from)
         collector = TelemetryCollector(env, machine, metrics=registry)
         with BandwidthAllocator(machine.devices(), percent=config.mba_percent):
             collector.start(view)
             run_started = kernel.now
             if tracer is not None:
                 with tracer.span("measure", cat="phase"):
-                    replay_jobs(trace.jobs[trace.measured_from :])
+                    replay_jobs(measured_from, None)
             else:
-                replay_jobs(trace.jobs[trace.measured_from :])
+                replay_jobs(measured_from, None)
             execution_time = kernel.now - run_started
             sample = collector.stop(view)
     except ReplayDivergence:

@@ -14,9 +14,9 @@ Layout is columnar: each :class:`TaskSetTrace` stores one numpy array
 per residue field across its tasks (plus CSR-style ``offsets``/``values``
 pairs for the ragged per-task I/O lists).  Batched ``ndarray.tolist()``
 conversion, vectorized aggregate sums and a whole-array checksum all
-operate on these columns directly — the replay setup cost is a handful
-of C-level array conversions per stage, not a Python loop per field per
-task.
+operate on these columns directly.  Replay compiles the columns into
+per-task objects once per decoded trace (:mod:`repro.trace.fastreplay`),
+not once per replayed point.
 """
 
 from __future__ import annotations
@@ -157,6 +157,13 @@ class WorkloadTrace:
             for task_set in job.task_sets:
                 task_set.update_checksum(digest)
         return digest.hexdigest()
+
+    def __getstate__(self) -> dict[str, t.Any]:
+        # Only the dataclass fields are the artifact: attributes a replay
+        # caches on the decoded object (``fastreplay``'s compiled plan)
+        # never reach a pickle.
+        names = self.__dataclass_fields__
+        return {k: v for k, v in self.__dict__.items() if k in names}
 
     def seal(self) -> "WorkloadTrace":
         self.checksum = self.compute_checksum()

@@ -13,13 +13,17 @@ same artifact and artifacts from older engines simply miss.
 
 Writes are atomic (temp file + rename): two campaign workers capturing
 the same behaviour key race harmlessly — both write identical content.
-Loads go through a small per-process LRU keyed on the artifact's size,
+Loads go through a per-process LRU keyed on the artifact's size,
 ``mtime_ns`` *and* a SHA-256 prefix of its bytes, so a serial campaign
 replaying one behaviour class across twelve tier/MBA points
 decompresses its artifact once, not twelve times — and a same-mtime
 overwrite (two captures landing within the filesystem's timestamp
 granularity) can never serve the stale content, because the content
-digest disagrees even when the stat signature does not.
+digest disagrees even when the stat signature does not.  The LRU is
+bounded by the artifact bytes it holds, not by entry count, so every
+behaviour class of the paper's grid stays decoded (together with the
+replay plan :mod:`repro.trace.fastreplay` compiles onto it) however
+many classes a campaign or service cycles through.
 
 Campaign and service workers can additionally hold a *shared-memory
 view*: :func:`install_shared_view` registers a manifest of
@@ -58,11 +62,14 @@ _SUFFIX = ".trace.pkl.gz"
 _GZIP_LEVEL = 0
 
 #: Per-process load cache:
-#: (path, size, mtime_ns, sha256 prefix) -> WorkloadTrace.
-_LOAD_CACHE: "OrderedDict[tuple[str, int, int, str], WorkloadTrace]" = (
+#: (path, size, mtime_ns, sha256 prefix) -> (WorkloadTrace, artifact bytes).
+_LOAD_CACHE: "OrderedDict[tuple[str, int, int, str], tuple[WorkloadTrace, int]]" = (
     OrderedDict()
 )
-_LOAD_CACHE_LIMIT = 8
+#: Artifact bytes the load cache may hold; the least recently used
+#: traces go first, the newest always stays.  All 21 paper behaviour
+#: classes (7 workloads x tiny/small/large) take ~6.2 MB together.
+_LOAD_CACHE_BYTES = 16 * 2**20
 
 #: Process-local manifest of shared-memory-published artifacts
 #: (trace_key → :class:`repro.trace.shm.SegmentDescriptor`), installed
@@ -174,7 +181,7 @@ class TraceStore:
         cached = _LOAD_CACHE.get(cache_key)
         if cached is not None:
             _LOAD_CACHE.move_to_end(cache_key)
-            return cached
+            return cached[0]
         try:
             trace = pickle.loads(gzip.decompress(payload))
         except Exception:  # noqa: BLE001 - corrupt artifact == miss
@@ -187,7 +194,9 @@ class TraceStore:
             or not trace.intact
         ):
             return None
-        _LOAD_CACHE[cache_key] = trace
-        while len(_LOAD_CACHE) > _LOAD_CACHE_LIMIT:
-            _LOAD_CACHE.popitem(last=False)
+        _LOAD_CACHE[cache_key] = (trace, len(payload))
+        held = sum(nbytes for _, nbytes in _LOAD_CACHE.values())
+        while held > _LOAD_CACHE_BYTES and len(_LOAD_CACHE) > 1:
+            _, (_, evicted) = _LOAD_CACHE.popitem(last=False)
+            held -= evicted
         return trace

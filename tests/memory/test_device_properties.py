@@ -1,13 +1,24 @@
 """Property-based tests of the device service model."""
 
+import dataclasses
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.device import AccessProfile, MemoryDevice, PathCharacteristics
+from repro.memory.counters import AccessCounters
+from repro.memory.device import (
+    DEFAULT_CORE_STREAM_BW,
+    AccessProfile,
+    MemoryDevice,
+    PathCharacteristics,
+)
+from repro.memory.faults import age_device, aged_technology
 from repro.memory.technology import DDR4_DRAM, OPTANE_DCPM
 from repro.sim import Environment
-from repro.units import ns_to_s
+from repro.units import CACHE_LINE, gbps_to_bps, ns_to_s
 
 volumes = st.floats(min_value=0.0, max_value=1e8, allow_nan=False)
 counts = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -118,3 +129,180 @@ def test_record_counters_consistent(reads, writes):
     assert device.counters.random_writes == writes
     assert device.counters.media_reads >= reads
     assert device.counters.media_writes >= writes
+
+
+# ------------------------------------------------------- memoized model
+
+def reference_service_time(
+    tech, dimms, active, mba, profile, path, core_bw, mlp_read, mlp_write
+):
+    """``MemoryDevice.service_time`` as plain, un-memoized arithmetic."""
+    mlp_r = path.effective_mlp(tech.mlp_read if mlp_read is None else mlp_read)
+    mlp_w = path.effective_mlp(tech.mlp_write if mlp_write is None else mlp_write)
+    streams = max(1, active)
+    peak = {
+        False: dimms * tech.dimm_read_bandwidth,
+        True: dimms * tech.dimm_write_bandwidth,
+    }
+
+    def random_bw(write):
+        return max(1.0, min(core_bw, peak[write] / streams, path.bandwidth_cap))
+
+    def stream_bw(write):
+        fair_share = peak[write] * path.efficiency / streams
+        return max(1.0, min(core_bw * mba, fair_share, path.bandwidth_cap))
+
+    gran = tech.access_granularity
+    total = 0.0
+    if profile.random_reads:
+        total += max(
+            profile.random_reads * (tech.read_latency + path.hop_latency) / mlp_r,
+            profile.random_reads * gran / random_bw(False),
+        )
+    if profile.random_writes:
+        total += max(
+            profile.random_writes * (tech.write_latency + path.hop_latency) / mlp_w,
+            profile.random_writes * gran / random_bw(True),
+        )
+    if profile.bytes_read:
+        total += profile.bytes_read / stream_bw(False)
+    if profile.bytes_written:
+        total += profile.bytes_written / stream_bw(True)
+    return total
+
+
+def reference_record(tech, dimms, profile):
+    """``MemoryDevice.record``'s device delta and per-DIMM share."""
+    gran = tech.access_granularity
+    reads = int(round(profile.random_reads))
+    writes = int(round(profile.random_writes))
+    delta = AccessCounters(
+        media_reads=int(math.ceil(profile.bytes_read / gran)) + reads,
+        media_writes=int(math.ceil(profile.bytes_written / gran)) + writes,
+        bytes_read=int(profile.bytes_read + profile.random_reads * CACHE_LINE),
+        bytes_written=int(profile.bytes_written + profile.random_writes * CACHE_LINE),
+        random_reads=reads,
+        random_writes=writes,
+    )
+    share = 1.0 / dimms
+    per_dimm = AccessCounters(
+        **{
+            f.name: int(round(getattr(delta, f.name) * share))
+            for f in dataclasses.fields(AccessCounters)
+        }
+    )
+    return delta, per_dimm
+
+
+#: A small pool of profile values, so that equal inputs recur.  Every
+#: operation builds fresh profile and path objects: only their values
+#: can match a memo entry.
+PROFILES = (
+    (0.0, 0.0, 0.0, 0.0),
+    (4096.0, 0.0, 120.0, 0.0),
+    (0.0, 1e6, 0.0, 37.5),
+    (65536.0, 65536.0, 300.0, 128.0),
+    (1e7, 2e6, 1e4, 3e3),
+    (100.0, 0.0, 0.7, 0.3),
+)
+PATHS = (
+    {},
+    {"hop_latency": ns_to_s(53.1), "bandwidth_cap": gbps_to_bps(31.6), "mlp_factor": 0.5},
+    {
+        "hop_latency": ns_to_s(59.2),
+        "bandwidth_cap": gbps_to_bps(31.6),
+        "efficiency": 0.0879,
+        "mlp_factor": 0.5,
+    },
+)
+#: A few values per ``service_time`` argument (profile, path index, core
+#: bandwidth, MLP overrides); their product is served.  Any two of those
+#: calls that differ in one argument only then meet in the memo.
+CALL_DOMAINS = st.tuples(
+    st.lists(st.sampled_from(PROFILES), min_size=1, max_size=3, unique=True),
+    st.lists(st.sampled_from(range(len(PATHS))), min_size=1, max_size=2, unique=True),
+    st.lists(
+        st.sampled_from([DEFAULT_CORE_STREAM_BW, gbps_to_bps(6.0), float("inf")]),
+        min_size=1,
+        max_size=2,
+        unique=True,
+    ),
+    st.lists(st.sampled_from([None, 1.0, 4.0]), min_size=1, max_size=2, unique=True),
+    st.lists(st.sampled_from([None, 1.0, 2.5]), min_size=1, max_size=2, unique=True),
+)
+OPERATIONS = st.one_of(
+    st.tuples(st.just("record"), st.integers(0, len(PROFILES) - 1)),
+    st.just(("start",)),
+    st.just(("finish",)),
+    st.tuples(st.just("cap"), st.sampled_from([0.1, 0.5, 1.0])),
+    st.tuples(st.just("age"), st.sampled_from([0.3, 0.8])),
+    st.just(("unage",)),
+)
+
+
+@given(
+    tech=st.sampled_from([DDR4_DRAM, OPTANE_DCPM]),
+    dimms=st.sampled_from([1, 2, 4]),
+    domains=CALL_DOMAINS,
+    operations=st.lists(OPERATIONS, max_size=30),
+)
+@settings(max_examples=100, deadline=None)
+def test_memoized_model_equals_unmemoized_arithmetic(tech, dimms, domains, operations):
+    """Any interleaving of bursts, records, stream admissions, MBA
+    changes and ``age_device`` entry/exit on one device: every service
+    time and the final device and DIMM counters equal the reference
+    arithmetic.  The same bursts (every combination of a few argument
+    values) are served again after every operation, so equal inputs
+    recur across every kind of state change."""
+    calls = list(itertools.product(*domains))
+    device = MemoryDevice(Environment(), "dev", tech, dimm_count=dimms)
+    techs = [tech]  # the reference's technology stack under aging
+    aging = []  # entered age_device contexts, innermost last
+    active, mba = 0, 1.0
+    counters, per_dimm = AccessCounters(), AccessCounters()
+
+    def serve_all():
+        for p, q, core_bw, mlp_read, mlp_write in calls:
+            profile = AccessProfile(*p)
+            path = PathCharacteristics(**PATHS[q])
+            expected = reference_service_time(
+                techs[-1], dimms, active, mba, profile, path, core_bw,
+                mlp_read, mlp_write,
+            )
+            assert device.service_time(
+                profile, path=path, core_stream_bw=core_bw,
+                mlp_read=mlp_read, mlp_write=mlp_write,
+            ) == expected
+
+    serve_all()
+    for op in operations:
+        kind = op[0]
+        if kind == "record":
+            profile = AccessProfile(*PROFILES[op[1]])
+            delta, share = reference_record(techs[-1], dimms, profile)
+            device.record(profile)
+            counters.add(delta)
+            per_dimm.add(share)
+        elif kind == "start":
+            device._stream_started()
+            active += 1
+        elif kind == "finish" and active:
+            device._stream_finished()
+            active -= 1
+        elif kind == "cap":
+            device.set_bandwidth_cap(op[1])
+            mba = op[1]
+        elif kind == "age":
+            context = age_device(device, op[1])
+            context.__enter__()
+            aging.append(context)
+            techs.append(aged_technology(techs[-1], op[1]))
+        elif kind == "unage" and aging:
+            aging.pop().__exit__(None, None, None)
+            techs.pop()
+        serve_all()
+    while aging:
+        aging.pop().__exit__(None, None, None)
+    assert device.technology is tech
+    assert device.counters == counters
+    assert all(dimm.counters == per_dimm for dimm in device.dimms)

@@ -3,6 +3,8 @@ replay → direct simulation fallback intact."""
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,11 @@ from repro.trace import (
     TraceStore,
     capture_experiment,
     fast_replay_experiment,
+    fastreplay,
     run_with_trace,
     trace_key,
 )
+from repro.workloads.registry import WORKLOAD_NAMES
 
 SETTINGS = settings(max_examples=20, deadline=None)
 
@@ -50,7 +54,7 @@ def capture_for(config: ExperimentConfig):
     geometry=st.sampled_from([(1, 40), (2, 4), (3, 8), (4, 2), (5, 8)]),
 )
 @SETTINGS
-def test_fastreplay_equals_des_replay(workload, tier, mba, socket, geometry):
+def test_fastreplay_equals_direct_simulation(workload, tier, mba, socket, geometry):
     """The replay guarantee: for any tier/MBA/socket/executor geometry
     the micro-kernel re-timer either returns the byte-identical result
     dict a direct simulation does — simulated time, telemetry counters,
@@ -97,15 +101,23 @@ def test_order_dependent_capture_falls_back_to_direct(workload):
 
 # ------------------------------------------------------------ explicit grid
 
-def test_one_capture_serves_every_tier_and_matches_direct():
-    config = ExperimentConfig(workload="sort", size="tiny", tier=0)
+@pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+def test_one_trace_serves_the_timing_grid(workload):
+    """One capture, one trace object, every timing point: replaying it
+    at each tier x MBA level x socket (its compiled plan reused by every
+    replay after the first) equals a direct simulation of that point."""
+    config = ExperimentConfig(workload=workload, size="tiny", tier=0)
     _, trace = capture_experiment(config)
     assert trace is not None
     for tier in range(4):
-        target = config.with_options(tier=tier)
-        assert result_to_dict(
-            fast_replay_experiment(target, trace)
-        ) == result_to_dict(run_experiment(target))
+        for mba in (10, 50, 100):
+            for socket in (0, 1):
+                target = config.with_options(
+                    tier=tier, mba_percent=mba, cpu_socket=socket
+                )
+                assert result_to_dict(
+                    fast_replay_experiment(target, trace)
+                ) == result_to_dict(run_experiment(target)), target.describe()
 
 
 def test_golden_pin_sort_tiny():
@@ -145,6 +157,58 @@ def test_unsized_truthy_hdfs_write_raises_replaydivergence():
     trace.seal()
     with pytest.raises(ReplayDivergence, match="no len"):
         fast_replay_experiment(config, trace)
+
+
+# --------------------------------------------------------- compiled plan
+
+def test_plan_compiles_once_per_trace(monkeypatch):
+    """Replays of one trace object share its compiled plan: the second
+    replay compiles nothing."""
+    config = ExperimentConfig(workload="sort", size="tiny")
+    _, trace = capture_experiment(config)
+    compiled = []
+    real = fastreplay._compile_task_set
+    monkeypatch.setattr(
+        fastreplay, "_compile_task_set",
+        lambda ts, chunk: compiled.append(ts) or real(ts, chunk),
+    )
+    first = fast_replay_experiment(config, trace)
+    task_sets = sum(len(job.task_sets) for job in trace.jobs)
+    assert len(compiled) == task_sets
+    second = fast_replay_experiment(config.with_options(tier=3), trace)
+    assert len(compiled) == task_sets
+    assert result_to_dict(first) == result_to_dict(run_experiment(config))
+    assert result_to_dict(second) == result_to_dict(
+        run_experiment(config.with_options(tier=3))
+    )
+
+
+def test_resealed_trace_replays_its_new_residues():
+    """The plan is keyed on the verified checksum, not on the trace
+    object: residues changed after a replay fail the checksum until the
+    trace is sealed again, and then the next replay sees the change."""
+    config = ExperimentConfig(workload="sort", size="tiny")
+    _, trace = capture_experiment(config)
+    fast_replay_experiment(config, trace)  # compiles and keeps a plan
+    ts = trace.jobs[-1].task_sets[-1]
+    ts.hdfs_path = ts.hdfs_path or "/forced/out"
+    ts.ints["result_truthy"][:] = 1
+    ts.ints["result_len"][:] = -1
+    with pytest.raises(ReplayDivergence, match="checksum"):
+        fast_replay_experiment(config, trace)
+    trace.seal()
+    with pytest.raises(ReplayDivergence, match="no len"):
+        fast_replay_experiment(config, trace)
+
+
+def test_replay_leaves_the_pickled_trace_unchanged():
+    """The compiled plan lives on the decoded object only: a replayed
+    trace pickles to the same bytes as before its first replay."""
+    config = ExperimentConfig(workload="sort", size="tiny")
+    _, trace = capture_experiment(config)
+    before = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
+    fast_replay_experiment(config, trace)
+    assert pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL) == before
 
 
 def test_behaviour_skew_raises_replaydivergence():
@@ -221,7 +285,7 @@ def _span_shapes(tracer):
     )
 
 
-def test_observed_fast_replay_matches_des_replay_spans():
+def test_observed_fast_replay_matches_direct_spans():
     """Span parity: the fast re-timer's spans carry the same names
     (shuffle-map payment phases included), categories, tracks and
     bit-identical simulated times an observed direct simulation

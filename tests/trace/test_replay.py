@@ -72,19 +72,6 @@ def test_replay_equals_direct_simulation(workload, tier, mba, socket, geometry):
     assert result_to_dict(replayed) == result_to_dict(direct)
 
 
-# ------------------------------------------------------------ explicit grid
-
-def test_one_capture_serves_every_tier():
-    config = ExperimentConfig(workload="sort", size="tiny", tier=0)
-    _, trace = capture_experiment(config)
-    assert trace is not None
-    for tier in range(4):
-        target = config.with_options(tier=tier)
-        assert result_to_dict(fast_replay_experiment(target, trace)) == result_to_dict(
-            run_experiment(target)
-        )
-
-
 # ------------------------------------------------------- divergence handling
 
 def test_static_gate_rejects_faults_and_speculation():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gzip
 import os
 import pickle
+from collections import OrderedDict
 
 from repro.analysis.resultstore import result_to_dict
 from repro.core.experiment import ExperimentConfig, run_experiment
@@ -158,3 +159,35 @@ def test_same_mtime_overwrite_is_not_served_stale(tmp_path):
     fresh = store.load(config)
     assert fresh is not None and fresh is not first
     assert fresh.checksum == replacement.checksum != original.checksum
+
+
+def test_load_cache_is_bounded_by_artifact_bytes(tmp_path, monkeypatch):
+    """Loading past the byte budget evicts the least recently used trace
+    and keeps the newest, even when the newest alone exceeds it."""
+    store = TraceStore(tmp_path)
+    base = ExperimentConfig(workload="sort", size="tiny", tier=0)
+    trace = make_trace(base)
+    # Three behaviour keys holding same-sized artifacts.
+    configs = [base.with_options(num_executors=n) for n in (1, 2, 3)]
+    for config in configs:
+        store.save(config, trace)
+    nbytes = store.path_for(configs[0]).stat().st_size
+    monkeypatch.setattr(store_module, "_LOAD_CACHE", OrderedDict())
+    monkeypatch.setattr(store_module, "_LOAD_CACHE_BYTES", 2 * nbytes)
+
+    def held():
+        return [id(loaded) for loaded, _ in store_module._LOAD_CACHE.values()]
+
+    a, b = store.load(configs[0]), store.load(configs[1])
+    assert store.load(configs[0]) is a  # a is now the most recent
+    c = store.load(configs[2])  # three artifacts > budget: b goes
+    assert held() == [id(a), id(c)]
+    assert store.load(configs[0]) is a and store.load(configs[2]) is c
+    again = store.load(configs[1])
+    assert again is not None and again is not b
+
+    # A budget below one artifact still keeps the newest trace.
+    monkeypatch.setattr(store_module, "_LOAD_CACHE_BYTES", nbytes // 2)
+    newest = store.load(configs[0])
+    assert held() == [id(newest)]
+    assert store.load(configs[0]) is newest
