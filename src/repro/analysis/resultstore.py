@@ -66,6 +66,18 @@ def config_from_dict(data: dict[str, t.Any]) -> ExperimentConfig:
     )
 
 
+#: Field names of the flat, frozen telemetry records, in declaration
+#: order (the order ``dataclasses.asdict`` would emit).
+_DIMM_FIELDS = tuple(f.name for f in dataclasses.fields(DimmPerformance))
+_ENERGY_FIELDS = tuple(f.name for f in dataclasses.fields(EnergyReport))
+
+
+def _flat_record(record: t.Any, names: tuple[str, ...]) -> dict[str, t.Any]:
+    """``dataclasses.asdict`` for a record whose fields are all scalars,
+    without its recursive deep copy."""
+    return {name: getattr(record, name) for name in names}
+
+
 def result_to_dict(result: ExperimentResult) -> dict[str, t.Any]:
     """Serialize one result.
 
@@ -92,10 +104,10 @@ def result_to_dict(result: ExperimentResult) -> dict[str, t.Any]:
         "telemetry": {
             "elapsed": sample.elapsed,
             "dimm_performance": [
-                dataclasses.asdict(p) for p in sample.dimm_performance
+                _flat_record(p, _DIMM_FIELDS) for p in sample.dimm_performance
             ],
             "energy_reports": {
-                name: dataclasses.asdict(report)
+                name: _flat_record(report, _ENERGY_FIELDS)
                 for name, report in sample.energy.items()
             },
         },

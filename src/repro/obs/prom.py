@@ -14,6 +14,10 @@ and ``promtool check metrics`` accepts):
   pairs and rendered inline, with ``extra_labels`` merged onto every
   series (the scrape-level identity: service instance, run label).
 
+Only the first scrape that sees a key splits, sanitizes and escapes it:
+the rendered head is kept in the registry (see
+:func:`render_prometheus`), so later scrapes format values only.
+
 :func:`parse_prometheus` is the matching validator — a strict parser
 for the subset this module emits, used by tests and the CI smoke to
 prove a live scrape is well-formed without a Prometheus binary in the
@@ -36,6 +40,8 @@ CONTENT_TYPE = f"text/plain; version={EXPOSITION_FORMAT}; charset=utf-8"
 
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_OK = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+_METRIC_NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
+_LABEL_NAME_BAD = re.compile(r"[^a-zA-Z0-9_]")
 
 _SERIES_LINE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
@@ -49,14 +55,14 @@ _LABEL_PAIR = re.compile(
 
 def sanitize_metric_name(name: str) -> str:
     """Dotted registry name → legal Prometheus metric name."""
-    cleaned = re.sub(r"[^a-zA-Z0-9_:]", "_", name)
+    cleaned = _METRIC_NAME_BAD.sub("_", name)
     if cleaned and cleaned[0].isdigit():
         cleaned = "_" + cleaned
     return cleaned or "_"
 
 
 def sanitize_label_name(name: str) -> str:
-    cleaned = re.sub(r"[^a-zA-Z0-9_]", "_", name)
+    cleaned = _LABEL_NAME_BAD.sub("_", name)
     if cleaned and cleaned[0].isdigit():
         cleaned = "_" + cleaned
     return cleaned or "_"
@@ -76,14 +82,49 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _render_labels(labels: t.Mapping[str, str]) -> str:
+def _label_pair(key: str, value: t.Any) -> str:
+    return f'{sanitize_label_name(key)}="{_escape_label_value(str(value))}"'
+
+
+def _render_labels(labels: t.Mapping[str, t.Any]) -> str:
     if not labels:
         return ""
-    body = ",".join(
-        f'{sanitize_label_name(key)}="{_escape_label_value(str(labels[key]))}"'
-        for key in sorted(labels)
-    )
+    body = ",".join(_label_pair(key, labels[key]) for key in sorted(labels))
     return "{" + body + "}"
+
+
+def _series_head(
+    key: str, prefix: str, extra: dict[str, str], *, counter: bool
+) -> tuple[str, str]:
+    """``(family, head)`` of one counter or gauge series."""
+    name, labels = split_labels(key)
+    metric = prefix + sanitize_metric_name(name)
+    if counter and not metric.endswith("_total"):
+        metric += "_total"
+    return metric, metric + _render_labels({**extra, **labels})
+
+
+def _histogram_head(
+    key: str, prefix: str, extra: dict[str, str]
+) -> tuple[str, str, str, str, str]:
+    """Heads of one histogram series: ``(family, bucket head through
+    le=", bucket head after the le value, _sum head, _count head)``."""
+    name, labels = split_labels(key)
+    metric = prefix + sanitize_metric_name(name)
+    merged = {**extra, **labels}
+    keys = sorted({**merged, "le": ""})
+    at = keys.index("le")
+    pairs = [_label_pair(k, merged[k]) for k in keys if k != "le"]
+    bucket = f"{metric}_bucket{{" + "".join(p + "," for p in pairs[:at])
+    bucket_end = '"' + "".join("," + p for p in pairs[at:]) + "}"
+    block = _render_labels(merged)
+    return (
+        metric,
+        bucket + 'le="',
+        bucket_end,
+        f"{metric}_sum{block}",
+        f"{metric}_count{block}",
+    )
 
 
 def render_prometheus(
@@ -92,8 +133,19 @@ def render_prometheus(
     namespace: str = "repro",
     extra_labels: t.Mapping[str, str] | None = None,
 ) -> str:
-    """The registry as one Prometheus text-format exposition document."""
-    extra = dict(extra_labels or {})
+    """The registry as one Prometheus text-format exposition document.
+
+    Each series' head (metric name and label block) is rendered the
+    first time a scrape sees its key and kept in the registry, per
+    ``namespace`` and ``extra_labels``; :meth:`MetricsRegistry.reset`
+    drops them.  A repeat scrape costs a sort and one value format per
+    series.
+    """
+    extra = {key: str(value) for key, value in (extra_labels or {}).items()}
+    scope = (namespace, tuple(sorted(extra.items())))
+    counter_heads, gauge_heads, histogram_heads = (
+        registry._prom_heads.setdefault(scope, ({}, {}, {}))
+    )
     lines: list[str] = []
     families: dict[str, list[str]] = {}
 
@@ -105,45 +157,34 @@ def render_prometheus(
 
     prefix = f"{namespace}_" if namespace else ""
 
-    for key in sorted(registry.counters):
-        name, labels = split_labels(key)
-        metric = prefix + sanitize_metric_name(name)
-        if not metric.endswith("_total"):
-            metric += "_total"
-        family(metric, "counter").append(
-            f"{metric}{_render_labels({**extra, **labels})} "
-            f"{_format_value(registry.counters[key])}"
-        )
-
-    for key in sorted(registry.gauges):
-        name, labels = split_labels(key)
-        metric = prefix + sanitize_metric_name(name)
-        family(metric, "gauge").append(
-            f"{metric}{_render_labels({**extra, **labels})} "
-            f"{_format_value(registry.gauges[key])}"
-        )
+    for kind, values, heads in (
+        ("counter", registry.counters, counter_heads),
+        ("gauge", registry.gauges, gauge_heads),
+    ):
+        for key in sorted(values):
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = _series_head(
+                    key, prefix, extra, counter=kind == "counter"
+                )
+            family(head[0], kind).append(
+                f"{head[1]} {_format_value(values[key])}"
+            )
 
     for key in sorted(registry._histograms):
-        name, labels = split_labels(key)
-        metric = prefix + sanitize_metric_name(name)
+        head = histogram_heads.get(key)
+        if head is None:
+            head = histogram_heads[key] = _histogram_head(key, prefix, extra)
+        metric, bucket, bucket_end, sum_head, count_head = head
         sketch = registry._histograms[key]
         block = family(metric, "histogram")
-        merged = {**extra, **labels}
         for upper, cumulative in sketch.cumulative():
             block.append(
-                f"{metric}_bucket"
-                f"{_render_labels({**merged, 'le': _format_value(upper)})} "
-                f"{cumulative}"
+                f"{bucket}{_format_value(upper)}{bucket_end} {cumulative}"
             )
-        block.append(
-            f"{metric}_bucket{_render_labels({**merged, 'le': '+Inf'})} "
-            f"{sketch.count}"
-        )
-        block.append(
-            f"{metric}_sum{_render_labels(merged)} "
-            f"{_format_value(sketch.sum)}"
-        )
-        block.append(f"{metric}_count{_render_labels(merged)} {sketch.count}")
+        block.append(f"{bucket}+Inf{bucket_end} {sketch.count}")
+        block.append(f"{sum_head} {_format_value(sketch.sum)}")
+        block.append(f"{count_head} {sketch.count}")
 
     for name in sorted(families):
         lines.extend(families[name])

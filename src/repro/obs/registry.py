@@ -20,7 +20,8 @@ Every instrument takes an optional ``labels=`` mapping — the label set
 is folded into the metric key with a canonical encoding
 (``name{k="v",...}``, keys sorted), so labelled series merge, reset and
 round-trip exactly like plain ones, and the Prometheus exposition
-(:mod:`repro.obs.prom`) splits them back into label pairs.
+(:mod:`repro.obs.prom`) splits them back into label pairs
+(:func:`split_labels` inverts :func:`labeled_name` for every value).
 
 Registries merge (campaign-level roll-ups sum per-point registries) and
 round-trip through a schema-versioned dict (:meth:`to_dict` /
@@ -29,6 +30,7 @@ round-trip through a schema-versioned dict (:meth:`to_dict` /
 
 from __future__ import annotations
 
+import re
 import typing as t
 from dataclasses import dataclass
 
@@ -55,14 +57,27 @@ def labeled_name(name: str, labels: t.Mapping[str, t.Any] | None) -> str:
 
 
 def split_labels(key: str) -> tuple[str, dict[str, str]]:
-    """Invert :func:`labeled_name`: ``'x{tier="2"}'`` → ``("x", {...})``."""
+    """Invert :func:`labeled_name`: ``'x{tier="2"}'`` → ``("x", {...})``.
+
+    Exact for every label value, whatever quotes, backslashes, commas or
+    braces it holds.  A key that is not a canonical encoding is returned
+    whole as a plain name.
+    """
     if not key.endswith("}") or "{" not in key:
         return key, {}
     name, _, body = key.partition("{")
+    body = body[:-1]
     labels: dict[str, str] = {}
-    for pair in _split_pairs(body[:-1]):
-        label, _, value = pair.partition("=")
-        labels[label] = _unescape(value.strip('"'))
+    pos = 0
+    while pos < len(body):
+        match = _PAIR.match(body, pos)
+        if match is None:
+            return key, {}
+        value = match["value"]
+        if "\\" in value:
+            value = _ESCAPED.sub(r"\1", value)
+        labels[match["key"]] = value
+        pos = match.end()
     return name, labels
 
 
@@ -70,28 +85,12 @@ def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _unescape(value: str) -> str:
-    return value.replace('\\"', '"').replace("\\\\", "\\")
-
-
-def _split_pairs(body: str) -> list[str]:
-    """Split ``k="v",k2="v2"`` on commas outside quoted values."""
-    pairs, depth, start = [], False, 0
-    i = 0
-    while i < len(body):
-        char = body[i]
-        if char == "\\":
-            i += 2
-            continue
-        if char == '"':
-            depth = not depth
-        elif char == "," and not depth:
-            pairs.append(body[start:i])
-            start = i + 1
-        i += 1
-    if body[start:]:
-        pairs.append(body[start:])
-    return pairs
+#: One ``key="value"`` pair of a canonical key, with its separator.
+_PAIR = re.compile(
+    r'(?P<key>[^=]*)="(?P<value>(?:[^"\\]|\\.)*)"(?:,|\Z)', re.S
+)
+#: One escape sequence inside a value (``\\`` or ``\"``).
+_ESCAPED = re.compile(r"\\(.)", re.S)
 
 
 @dataclass(frozen=True)
@@ -130,6 +129,10 @@ class MetricsRegistry:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self._histograms: dict[str, QuantileSketch] = {}
+        #: Rendered Prometheus series heads, filled by
+        #: :func:`repro.obs.prom.render_prometheus`: at most one per key,
+        #: instrument kind, namespace and extra-label set.
+        self._prom_heads: dict[t.Any, t.Any] = {}
 
     # -- instruments ---------------------------------------------------------
     def inc(
@@ -224,6 +227,7 @@ class MetricsRegistry:
         self.counters.clear()
         self.gauges.clear()
         self._histograms.clear()
+        self._prom_heads.clear()
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold ``other`` into this registry (in place; returns self).

@@ -51,6 +51,7 @@ from itertools import count
 from pathlib import Path
 
 from repro.core.experiment import ExperimentConfig
+from repro.obs.registry import labeled_name
 from repro.options import RunOptions
 from repro.runner.campaign import _coerce_obs_config, _execute_point
 from repro.runner.cache import ResultCache
@@ -73,6 +74,17 @@ from repro.service.jobs import (
 
 #: A client name used when submitters do not identify themselves.
 DEFAULT_CLIENT = "default"
+
+#: Label names of the ``device.*`` series, in the order of the identity
+#: tuple ``_fold_result_metrics`` builds per DIMM.
+_DEVICE_LABELS = ("tier", "socket", "workload", "client", "device")
+#: The per-DIMM counters each resolved job adds to.
+_DEVICE_COUNTERS = (
+    "device.media_reads",
+    "device.media_writes",
+    "device.bytes_read",
+    "device.bytes_written",
+)
 
 
 class ExperimentService:
@@ -207,6 +219,9 @@ class ExperimentService:
         self.metrics: MetricsRegistry = (
             self.observer.registry if self.observer else MetricsRegistry()
         )
+        #: (tier, socket, workload, client, DIMM) → the four ``device.*``
+        #: counter keys of that label set, built once.
+        self._device_keys: dict[tuple[t.Any, ...], tuple[str, ...]] = {}
         self.event_history = event_history
         if flight_dir is None and obs_config is not None:
             flight_dir = obs_config.flight_dir
@@ -903,28 +918,24 @@ class ExperimentService:
         if exec_time is not None:
             self.metrics.observe("jobs.execution_time_s", float(exec_time))
         config = job.config
-        base = {
-            "tier": getattr(config, "tier", ""),
-            "socket": getattr(config, "cpu_socket", ""),
-            "workload": getattr(config, "workload", ""),
-            "client": job.client,
-        }
+        tier = getattr(config, "tier", "")
+        socket = getattr(config, "cpu_socket", "")
+        workload = getattr(config, "workload", "")
+        inc = self.metrics.inc
         telemetry = getattr(result, "telemetry", None)
         for dimm in getattr(telemetry, "dimm_performance", None) or ():
-            labels = {**base, "device": dimm.dimm_id}
-            self.metrics.inc(
-                "device.media_reads", float(dimm.media_reads), labels=labels
-            )
-            self.metrics.inc(
-                "device.media_writes", float(dimm.media_writes), labels=labels
-            )
-            self.metrics.inc(
-                "device.bytes_read", float(dimm.bytes_read), labels=labels
-            )
-            self.metrics.inc(
-                "device.bytes_written", float(dimm.bytes_written),
-                labels=labels,
-            )
+            ident = (tier, socket, workload, job.client, dimm.dimm_id)
+            keys = self._device_keys.get(ident)
+            if keys is None:
+                labels = dict(zip(_DEVICE_LABELS, ident))
+                keys = self._device_keys[ident] = tuple(
+                    labeled_name(name, labels) for name in _DEVICE_COUNTERS
+                )
+            reads, writes, read_bytes, written_bytes = keys
+            inc(reads, float(dimm.media_reads))
+            inc(writes, float(dimm.media_writes))
+            inc(read_bytes, float(dimm.bytes_read))
+            inc(written_bytes, float(dimm.bytes_written))
 
     def _emit_span(self, job: Job) -> None:
         """Record one retrospective wall-clock span per finished job."""

@@ -3,17 +3,93 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     MetricsRegistry,
     parse_prometheus,
     render_prometheus,
+    split_labels,
 )
 from repro.obs.prom import (
     CONTENT_TYPE,
     sanitize_label_name,
     sanitize_metric_name,
 )
+
+
+def reference_render(registry, *, namespace="repro", extra_labels=None):
+    """The un-memoized renderer: split, sanitize and escape every series
+    on every call.  ``render_prometheus`` must match it byte for byte."""
+
+    def escape(value):
+        return (
+            value.replace("\\", "\\\\")
+            .replace('"', '\\"')
+            .replace("\n", "\\n")
+        )
+
+    def fmt(value):
+        if math.isinf(value):
+            return "+Inf" if value > 0 else "-Inf"
+        if math.isnan(value):
+            return "NaN"
+        return repr(float(value))
+
+    def render_labels(labels):
+        if not labels:
+            return ""
+        body = ",".join(
+            f'{sanitize_label_name(key)}="{escape(str(labels[key]))}"'
+            for key in sorted(labels)
+        )
+        return "{" + body + "}"
+
+    extra = dict(extra_labels or {})
+    families = {}
+
+    def family(name, kind):
+        if name not in families:
+            families[name] = [f"# TYPE {name} {kind}"]
+        return families[name]
+
+    prefix = f"{namespace}_" if namespace else ""
+    for key in sorted(registry.counters):
+        name, labels = split_labels(key)
+        metric = prefix + sanitize_metric_name(name)
+        if not metric.endswith("_total"):
+            metric += "_total"
+        family(metric, "counter").append(
+            f"{metric}{render_labels({**extra, **labels})} "
+            f"{fmt(registry.counters[key])}"
+        )
+    for key in sorted(registry.gauges):
+        name, labels = split_labels(key)
+        metric = prefix + sanitize_metric_name(name)
+        family(metric, "gauge").append(
+            f"{metric}{render_labels({**extra, **labels})} "
+            f"{fmt(registry.gauges[key])}"
+        )
+    for key in sorted(registry._histograms):
+        name, labels = split_labels(key)
+        metric = prefix + sanitize_metric_name(name)
+        sketch = registry._histograms[key]
+        block = family(metric, "histogram")
+        merged = {**extra, **labels}
+        for upper, cumulative in sketch.cumulative():
+            block.append(
+                f"{metric}_bucket{render_labels({**merged, 'le': fmt(upper)})} "
+                f"{cumulative}"
+            )
+        block.append(
+            f"{metric}_bucket{render_labels({**merged, 'le': '+Inf'})} "
+            f"{sketch.count}"
+        )
+        block.append(f"{metric}_sum{render_labels(merged)} {fmt(sketch.sum)}")
+        block.append(f"{metric}_count{render_labels(merged)} {sketch.count}")
+    lines = [line for name in sorted(families) for line in families[name]]
+    return "\n".join(lines) + "\n" if lines else "\n"
 
 
 def small_registry():
@@ -154,3 +230,79 @@ def test_parse_accepts_special_values():
 
 def test_empty_registry_renders_empty_document():
     assert parse_prometheus(render_prometheus(MetricsRegistry())) == {}
+
+
+def test_label_values_that_differ_only_by_a_trailing_quote_stay_distinct():
+    registry = MetricsRegistry()
+    for client in ('x"', "x\\"):
+        registry.inc("device.media_reads", 1.0, labels={"client": client})
+    series = parse_prometheus(render_prometheus(registry))
+    assert sorted(series) == [
+        ("repro_device_media_reads_total", 'client="x\\""'),
+        ("repro_device_media_reads_total", 'client="x\\\\"'),
+    ]
+
+
+# Small pools, so keys repeat and values change between renders; names
+# and label names that sanitize, collide or clash with ``le`` on purpose,
+# and label values that need escaping.
+METRIC_NAMES = ["jobs.done", "device.media_reads", "x", "x_total", "9lives"]
+label_sets = st.sampled_from([
+    {},
+    {"tier": "2"},
+    {"client": 'x"', "tier": "0"},
+    {"client": "x\\", "le": "0.5"},
+    {"a-b": 'a,b="c"', "zz": "two\nlines", "client": ""},
+])
+scopes = st.tuples(
+    st.sampled_from(["repro", "spark", ""]),
+    st.sampled_from([None, {}, {"instance": "svc-1"}, {"tier": "9", "le": 'q"'}]),
+)
+values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+instrument_ops = st.tuples(
+    st.sampled_from(["inc", "set_gauge", "observe"]),
+    st.sampled_from(METRIC_NAMES),
+    label_sets,
+    values,
+)
+registry_ops = st.one_of(
+    instrument_ops,
+    st.tuples(st.just("merge"), st.lists(instrument_ops, max_size=4)),
+    st.tuples(st.just("reset")),
+    st.tuples(st.just("scope"), scopes),
+)
+
+
+def apply(registry, op):
+    kind, name, labels, value = op
+    getattr(registry, kind)(name, value, labels=labels)
+
+
+def assert_renders_like_reference(registry, namespace, extra):
+    assert render_prometheus(
+        registry, namespace=namespace, extra_labels=extra
+    ) == reference_render(registry, namespace=namespace, extra_labels=extra)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(registry_ops, max_size=40), final=st.lists(scopes, min_size=1))
+def test_memoized_render_matches_reference_renderer(ops, final):
+    """Render after every step, under the scope (namespace, extra labels)
+    the last ``scope`` step chose, then under each ``final`` scope."""
+    registry = MetricsRegistry()
+    namespace, extra = "repro", None
+    for op in ops:
+        if op[0] == "merge":
+            other = MetricsRegistry()
+            for inner in op[1]:
+                apply(other, inner)
+            registry.merge(other)
+        elif op[0] == "reset":
+            registry.reset()
+        elif op[0] == "scope":
+            namespace, extra = op[1]
+        else:
+            apply(registry, op)
+        assert_renders_like_reference(registry, namespace, extra)
+    for namespace, extra in final:
+        assert_renders_like_reference(registry, namespace, extra)

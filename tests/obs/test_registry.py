@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import METRICS_SCHEMA, OBS_SCHEMA_VERSION, MetricsRegistry
+from repro.obs import (
+    METRICS_SCHEMA,
+    OBS_SCHEMA_VERSION,
+    MetricsRegistry,
+    labeled_name,
+    split_labels,
+)
 
 SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -202,6 +208,35 @@ def test_labeled_series_are_distinct_and_exported():
     assert len(labeled) == 2
     rebuilt = MetricsRegistry.from_dict(payload)
     assert rebuilt.to_dict() == payload
+
+
+label_names = st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True)
+#: Arbitrary text, with the characters the key encoding treats specially
+#: drawn often enough to land at either end of a value.
+label_values = st.one_of(
+    st.text(st.one_of(st.sampled_from('"\\,={} \n'), st.characters())),
+    st.integers(),
+)
+
+
+@SETTINGS
+@given(name=names, labels=st.dictionaries(label_names, label_values, max_size=4))
+def test_split_labels_inverts_labeled_name(name, labels):
+    assert split_labels(labeled_name(name, labels)) == (
+        name,
+        {key: str(value) for key, value in labels.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "value", ['x"', '"', 'a,b="c"', "x\\", '\\"', "}", "{}", ""]
+)
+def test_split_labels_keeps_quotes_and_backslashes(value):
+    key = labeled_name("device.media_reads", {"client": value, "tier": 2})
+    assert split_labels(key) == (
+        "device.media_reads",
+        {"client": value, "tier": "2"},
+    )
 
 
 def test_from_dict_accepts_legacy_sample_payloads():
