@@ -29,16 +29,30 @@ spread of lengths and magnitudes the first time a workload asks, and
 permanently disables the fast paths in this process if any single bit
 differs.  Callers therefore never trade correctness for speed — a
 mismatching build silently falls back to the original numpy loops.
+
+Even as Python floats, a loop over 5–15-element rows pays more for the
+interpreter than for the arithmetic: on CPython 3.11 each list
+comprehension builds a function frame, and each call or loop iteration
+costs more than the float op inside it.  :func:`compiled_gibbs_pass`
+therefore generates LDA's Gibbs partition pass as source for one topic
+count, with the per-token conditional unrolled into straight-line code
+over named locals: :func:`pairwise_sum`'s grouping for that length, the
+cdf as the same sequential fold, and the ``searchsorted`` binary search
+as the comparison tree it unrolls to.  Every float op is the one the
+replicas perform, on the same operands in the same order, so the pass
+is exact wherever the replicas are.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import typing as t
 from bisect import bisect_right
 
 import numpy as np
 
-__all__ = ["pairwise_sum", "replicas_match"]
+__all__ = ["compiled_gibbs_pass", "pairwise_sum", "replicas_match"]
 
 
 def pairwise_sum(values: t.Sequence[float]) -> float:
@@ -74,6 +88,155 @@ def pairwise_sum(values: t.Sequence[float]) -> float:
         res = res + values[i]
         i += 1
     return res
+
+
+def _sum_lines(n: int) -> list[str]:
+    """Statements binding ``s`` to :func:`pairwise_sum` of ``p0..p{n-1}``.
+
+    The same grouping for the same length: a left fold from ``0.0``
+    below 8 terms; up to 128, eight left-folded accumulators combined
+    as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then the sequential
+    tail; above that, the call itself.
+    """
+    p = [f"p{k}" for k in range(n)]
+    if n < 8:
+        return [f"s = {' + '.join(['0.0', *p])}"]
+    if n > 128:
+        return [f"s = pairwise_sum(({', '.join(p)},))"]
+    stop = n - n % 8
+    lines = []
+    r = p[:8]
+    if stop > 8:
+        r = [f"r{j}" for j in range(8)]
+        lines = [f"r{j} = {' + '.join(p[j:stop:8])}" for j in range(8)]
+    block = "(({} + {}) + ({} + {})) + (({} + {}) + ({} + {}))".format(*r)
+    return [*lines, f"s = {' + '.join([block, *p[stop:]])}"]
+
+
+def _search_lines(lo: int, hi: int, n: int, pad: str) -> list[str]:
+    """The ``while lo < hi`` bisection over ``c_k / last``, unrolled.
+
+    Each ``if`` is one iteration's comparison (``mid = (lo + hi) >> 1``,
+    true branch ``hi = mid``, false branch ``lo = mid + 1``), so a draw
+    makes exactly the comparisons ``bisect_right`` would.  A leaf binds
+    the chosen topic and its weight; the leaf past the last topic is
+    reached only if ``u`` is not below ``1.0``, where the loop it
+    replaces would index out of range.
+    """
+    if lo == hi:
+        if lo == n:
+            return [f"{pad}raise IndexError('topic index out of range')"]
+        return [f"{pad}k_new = {lo}", f"{pad}p_new = p{lo}"]
+    mid = (lo + hi) >> 1
+    inner = pad + "    "
+    return [
+        f"{pad}if u < c{mid} / last:",
+        *_search_lines(lo, mid, n, inner),
+        f"{pad}else:",
+        *_search_lines(mid + 1, hi, n, inner),
+    ]
+
+
+def gibbs_pass_source(n: int) -> str:
+    """Source of LDA's collapsed-Gibbs partition pass for ``n`` topics.
+
+    The function holds no state: the count rows, their ``+ beta`` /
+    ``+ beta_vocab`` / ``+ alpha`` mirrors and the topic assignments
+    are updated in place, and ``uniform`` is the partition's
+    ``Generator.random``.  Per token it removes the token's counts,
+    evaluates ``p_k = (count + beta) / (total + beta_vocab) * (doc +
+    alpha)`` for every topic, normalises by :func:`pairwise_sum`'s
+    grouping, folds the cdf, draws the new topic by the unrolled
+    search and adds the counts back.  Each document's log-likelihood is
+    one batched ``np.log`` over the chosen ``p_new / s``, summed in
+    token order.  Returns ``[(doc_id, loglik), ...]``.
+    """
+    if n < 1:
+        raise ValueError(f"topic count must be at least 1, got {n}")
+    ks = range(n)
+
+    def unpack(prefix: str) -> str:
+        return ", ".join(f"{prefix}{k}" for k in ks) + ("," if n == 1 else "")
+
+    token = [
+        "k_old = topics[i]",
+        "row = counts[word]",
+        "row_beta = counts_beta[word]",
+        "v = row[k_old] - 1.0",
+        "row[k_old] = v",
+        "row_beta[k_old] = v + beta",
+        "v = totals[k_old] - 1.0",
+        "totals[k_old] = v",
+        "denom[k_old] = v + beta_vocab",
+        "v = dt_row[k_old] - 1.0",
+        "dt_row[k_old] = v",
+        "dt_alpha[k_old] = v + alpha",
+        f"{unpack('a')} = row_beta",
+        f"{unpack('b')} = denom",
+        f"{unpack('d')} = dt_alpha",
+        *(f"p{k} = a{k} / b{k} * d{k}" for k in ks),
+        *_sum_lines(n),
+        "c0 = 0.0 + p0 / s",
+        *(f"c{k} = c{k - 1} + p{k} / s" for k in ks[1:]),
+        f"last = c{n - 1}",
+        "u = draws[i]",
+        *_search_lines(0, n, n, ""),
+        "topics[i] = k_new",
+        "v = row[k_new] + 1.0",
+        "row[k_new] = v",
+        "row_beta[k_new] = v + beta",
+        "v = totals[k_new] + 1.0",
+        "totals[k_new] = v",
+        "denom[k_new] = v + beta_vocab",
+        "v = dt_row[k_new] + 1.0",
+        "dt_row[k_new] = v",
+        "dt_alpha[k_new] = v + alpha",
+        "keep(p_new / s)",
+    ]
+    lines = [
+        f"def gibbs_pass_{n}(part, uniform, assignments, counts, counts_beta,",
+        "        totals, denom, doc_counts, doc_alpha, beta, beta_vocab, alpha):",
+        "    out = []",
+        "    for doc_id, words in part:",
+        "        topics = assignments[doc_id].tolist()",
+        "        dt_row = doc_counts[doc_id]",
+        "        dt_alpha = doc_alpha[doc_id]",
+        "        draws = uniform(len(words)).tolist()",
+        "        chosen = []",
+        "        keep = chosen.append",
+        "        for i, word in enumerate(words):",
+        *("            " + line for line in token),
+        "        assignments[doc_id] = asarray(topics)",
+        "        loglik = 0.0",
+        "        for v in log(asarray(chosen)).tolist():",
+        "            loglik += v",
+        "        out.append((doc_id, loglik))",
+        "    return out",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def compiled_gibbs_pass(n: int) -> t.Callable[..., list[tuple[int, float]]]:
+    """:func:`gibbs_pass_source` for ``n`` topics, compiled once.
+
+    Compiled with ``compile``/``exec`` as ``dataclasses`` and
+    ``namedtuple`` build their methods, and registered with
+    ``linecache`` under its pseudo-filename so tracebacks and profilers
+    show the generated lines.  The cache keeps one function per topic
+    count in use; the paper's sizes use three.
+    """
+    source = gibbs_pass_source(n)
+    filename = f"<repro.workloads._exact gibbs_pass_{n}>"
+    namespace: dict[str, t.Any] = {
+        "__name__": __name__,
+        "asarray": np.asarray,
+        "log": np.log,
+        "pairwise_sum": pairwise_sum,
+    }
+    exec(compile(source, filename, "exec"), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return namespace[f"gibbs_pass_{n}"]
 
 
 #: Memoized verdict of the one-time self-check (None until first asked).

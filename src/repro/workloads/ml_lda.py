@@ -17,7 +17,7 @@ import numpy as np
 from repro.spark.context import SparkContext
 from repro.spark.costs import CostSpec
 from repro.workloads import datagen
-from repro.workloads._exact import pairwise_sum, replicas_match
+from repro.workloads._exact import compiled_gibbs_pass, replicas_match
 from repro.workloads.base import SizeProfile, Workload
 
 #: Gibbs token update: read 4 counters + theta/phi rows, write 4 counters.
@@ -30,6 +30,92 @@ GIBBS_COST = CostSpec(
 ITERATIONS = 4
 ALPHA = 0.1
 BETA = 0.01
+
+
+def count_matrices(
+    records: t.Sequence[tuple[int, t.Sequence[int]]],
+    assignments: t.Mapping[int, np.ndarray],
+    vocabulary: int,
+    n_topics: int,
+    n_docs: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Word-topic, topic-total and doc-topic counts of the assignments.
+
+    Word-major: the sampler reads one word's topic row per token, so
+    keeping rows contiguous avoids a strided column gather on every
+    access.  Each matrix is one unbuffered ``np.add.at`` over all tokens
+    at once; the sums are small integers, exact in float64 in any
+    order, so they equal per-token ``+= 1`` updates.
+    """
+    words = np.concatenate([np.asarray(w, dtype=np.intp) for _, w in records])
+    topics = np.concatenate([assignments[doc_id] for doc_id, _ in records])
+    docs = np.repeat(
+        [doc_id for doc_id, _ in records], [len(w) for _, w in records]
+    )
+    word_topic = np.zeros((vocabulary, n_topics))
+    topic_totals = np.zeros(n_topics)
+    doc_topic = np.zeros((n_docs, n_topics))
+    np.add.at(word_topic, (words, topics), 1.0)
+    np.add.at(topic_totals, topics, 1.0)
+    np.add.at(doc_topic, (docs, topics), 1.0)
+    return word_topic, topic_totals, doc_topic
+
+
+def gibbs_pass(
+    part: list[tuple[int, list[int]]],
+    uniform: t.Callable[[int], np.ndarray],
+    assignments: dict[int, np.ndarray],
+    word_topic: np.ndarray,
+    topic_totals: np.ndarray,
+    doc_topic: np.ndarray,
+    beta_vocab: float,
+) -> list[tuple[int, float]]:
+    """Resample one partition's tokens in numpy; returns (doc, log-lik).
+
+    The reference sampler: :func:`repro.workloads._exact.compiled_gibbs_pass`
+    replays it bit for bit, and ``execute`` falls back to it when the
+    replicas self-check fails.  Updates the counts and ``assignments``
+    in place; ``uniform`` is the partition's ``Generator.random``.
+    """
+    log = np.log
+    total = np.add.reduce
+    out = []
+    for doc_id, words in part:
+        topics = assignments[doc_id].tolist()
+        dt_row = doc_topic[doc_id]
+        # One bulk draw per document: ``random(n)`` consumes the bit
+        # generator exactly as n scalar ``random()`` calls do, so every
+        # token sees the same uniform variate.
+        draws = uniform(len(words)).tolist()
+        loglik = 0.0
+        for i, word in enumerate(words):
+            k_old = topics[i]
+            row = word_topic[word]
+            # Remove token from counts.
+            row[k_old] -= 1
+            topic_totals[k_old] -= 1
+            dt_row[k_old] -= 1
+            # Full conditional; in-place ops reuse the first temporary
+            # but round identically per element.
+            p = row + BETA
+            p /= topic_totals + beta_vocab
+            p *= dt_row + ALPHA
+            p /= total(p)
+            # Exact replica of rng.choice(n_topics, p=p): choice samples
+            # cdf.searchsorted(random(), 'right') on the renormalized
+            # cumulative sum; inlining it skips choice's per-call
+            # validation of p.
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            k_new = int(cdf.searchsorted(draws[i], side="right"))
+            topics[i] = k_new
+            row[k_new] += 1
+            topic_totals[k_new] += 1
+            dt_row[k_new] += 1
+            loglik += float(log(p.item(k_new)))
+        assignments[doc_id] = np.asarray(topics)
+        out.append((doc_id, loglik))
+    return out
 
 
 class LdaWorkload(Workload):
@@ -79,177 +165,52 @@ class LdaWorkload(Workload):
         corpus = sc.text_file(self.input_path(size), profile.partitions).cache()
 
         # Deterministic initial topic assignments.
+        records = sc.hdfs.read_records(self.input_path(size))
         rng = np.random.default_rng(77)
         assignments: dict[int, np.ndarray] = {
             doc_id: rng.integers(0, n_topics, size=len(words))
-            for doc_id, words in sc.hdfs.read_records(self.input_path(size))
+            for doc_id, words in records
         }
-        # Word-major counts: the sampler reads one word's topic row per
-        # token, so keeping rows contiguous avoids a strided column
-        # gather on every access (element values are unchanged).
-        word_topic = np.zeros((vocabulary, n_topics))
-        topic_totals = np.zeros(n_topics)
-        doc_topic = np.zeros((n_docs, n_topics))
-        for doc_id, words in sc.hdfs.read_records(self.input_path(size)):
-            for word, topic in zip(words, assignments[doc_id]):
-                word_topic[word, topic] += 1
-                topic_totals[topic] += 1
-                doc_topic[doc_id, topic] += 1
-
+        word_topic, topic_totals, doc_topic = count_matrices(
+            records, assignments, vocabulary, n_topics, n_docs
+        )
         beta_vocab = BETA * vocabulary
 
-        # The sampler touches 5–15-element rows per token; Python-float
-        # arithmetic beats per-token ufunc dispatch severalfold, and the
-        # rewrite is bit-exact (see repro.workloads._exact).  Gate on the
-        # self-check so a numpy build with different reduction grouping
-        # falls back to the reference loop below.
+        # The sampler touches 5–15-element rows per token, so it runs as
+        # Python floats in straight-line code compiled for this topic
+        # count; the rewrite is bit-exact (see repro.workloads._exact).
+        # Gate on the self-check so a numpy build with different
+        # reduction grouping falls back to the reference loop.
         use_fast = replicas_match()
         if use_fast:
             word_topic_rows = word_topic.tolist()
             topic_totals_row = topic_totals.tolist()
             doc_topic_rows = doc_topic.tolist()
-            # Incremental mirrors of the conditional's three per-element
-            # adds.  Only two entries change per token, so maintaining
-            # ``count + BETA`` / ``total + beta_vocab`` / ``count +
-            # ALPHA`` alongside the raw counts turns five float ops per
-            # topic in the inner listcomp into two.  Each mirror update
-            # performs the very add the listcomp used to, on the same
-            # operands — every element stays bit-identical.
-            word_topic_beta = [
-                [v + BETA for v in row] for row in word_topic_rows
-            ]
+            # Mirrors of the conditional's three per-element adds.  Only
+            # two entries change per token, so the pass keeps ``count +
+            # BETA`` / ``total + beta_vocab`` / ``count + ALPHA`` beside
+            # the raw counts instead of recomputing them per topic.  Each
+            # mirror update performs the very add the reference does on
+            # the same operands, so every element stays bit-identical.
+            word_topic_beta = [[v + BETA for v in row] for row in word_topic_rows]
             totals_denom = [v + beta_vocab for v in topic_totals_row]
-            doc_topic_alpha = [
-                [v + ALPHA for v in row] for row in doc_topic_rows
-            ]
+            doc_topic_alpha = [[v + ALPHA for v in row] for row in doc_topic_rows]
+            compiled = compiled_gibbs_pass(n_topics)
 
-        def gibbs_pass_fast(
-            part: list[tuple[int, list[int]]], seed: int
-        ) -> list[tuple[int, float]]:
-            """``gibbs_pass`` with the per-token numpy ops unrolled.
+            def sampler(part: list[tuple[int, list[int]]], seed: int) -> list:
+                return compiled(
+                    part, np.random.default_rng(seed).random, assignments,
+                    word_topic_rows, word_topic_beta, topic_totals_row,
+                    totals_denom, doc_topic_rows, doc_topic_alpha,
+                    BETA, beta_vocab, ALPHA,
+                )
+        else:
+            def sampler(part: list[tuple[int, list[int]]], seed: int) -> list:
+                return gibbs_pass(
+                    part, np.random.default_rng(seed).random, assignments,
+                    word_topic, topic_totals, doc_topic, beta_vocab,
+                )
 
-            Every float op mirrors the reference loop operation-for-
-            operation: the conditional is the same ``(+ / *)`` chain per
-            topic, the normalizing total replays ``np.add.reduce``'s
-            pairwise grouping, the cdf is the same sequential fold, the
-            draw is ``searchsorted(side="right")`` as a binary search
-            over identical quotients, and the log-likelihood batches
-            ``np.log`` per document while keeping the per-token
-            accumulation order.
-            """
-            local_rng = np.random.default_rng(seed)
-            uniform = local_rng.random
-            log = np.log
-            counts = word_topic_rows
-            counts_beta = word_topic_beta
-            totals = topic_totals_row
-            denom = totals_denom
-            n = n_topics
-            out = []
-            for doc_id, words in part:
-                topics = assignments[doc_id].tolist()
-                dt_row = doc_topic_rows[doc_id]
-                dt_alpha = doc_topic_alpha[doc_id]
-                draws = uniform(len(words)).tolist()
-                chosen: list[float] = []
-                keep = chosen.append
-                for i, word in enumerate(words):
-                    k_old = topics[i]
-                    row = counts[word]
-                    row_beta = counts_beta[word]
-                    v = row[k_old] - 1.0
-                    row[k_old] = v
-                    row_beta[k_old] = v + BETA
-                    v = totals[k_old] - 1.0
-                    totals[k_old] = v
-                    denom[k_old] = v + beta_vocab
-                    v = dt_row[k_old] - 1.0
-                    dt_row[k_old] = v
-                    dt_alpha[k_old] = v + ALPHA
-                    p = [
-                        rb / td * da
-                        for rb, td, da in zip(row_beta, denom, dt_alpha)
-                    ]
-                    s = pairwise_sum(p)
-                    acc = 0.0
-                    cdf = [acc := acc + v / s for v in p]
-                    last = cdf[-1]
-                    u = draws[i]
-                    lo, hi = 0, n
-                    while lo < hi:
-                        mid = (lo + hi) >> 1
-                        if u < cdf[mid] / last:
-                            hi = mid
-                        else:
-                            lo = mid + 1
-                    k_new = lo
-                    topics[i] = k_new
-                    v = row[k_new] + 1.0
-                    row[k_new] = v
-                    row_beta[k_new] = v + BETA
-                    v = totals[k_new] + 1.0
-                    totals[k_new] = v
-                    denom[k_new] = v + beta_vocab
-                    v = dt_row[k_new] + 1.0
-                    dt_row[k_new] = v
-                    dt_alpha[k_new] = v + ALPHA
-                    keep(p[k_new] / s)
-                assignments[doc_id] = np.asarray(topics)
-                loglik = 0.0
-                for v in log(np.asarray(chosen)).tolist():
-                    loglik += v
-                out.append((doc_id, loglik))
-            return out
-
-        def gibbs_pass(
-            part: list[tuple[int, list[int]]], seed: int
-        ) -> list[tuple[int, float]]:
-            """Resample one partition's tokens; returns (doc, log-lik)."""
-            local_rng = np.random.default_rng(seed)
-            uniform = local_rng.random
-            log = np.log
-            total = np.add.reduce
-            counts = word_topic
-            totals = topic_totals
-            out = []
-            for doc_id, words in part:
-                topics = assignments[doc_id].tolist()
-                dt_row = doc_topic[doc_id]
-                # One bulk draw per document: ``random(n)`` consumes the
-                # bit generator exactly as n scalar ``random()`` calls do,
-                # so every token sees the same uniform variate.
-                draws = uniform(len(words)).tolist()
-                loglik = 0.0
-                for i, word in enumerate(words):
-                    k_old = topics[i]
-                    row = counts[word]
-                    # Remove token from counts.
-                    row[k_old] -= 1
-                    totals[k_old] -= 1
-                    dt_row[k_old] -= 1
-                    # Full conditional; in-place ops reuse the first
-                    # temporary but round identically per element.
-                    p = row + BETA
-                    p /= totals + beta_vocab
-                    p *= dt_row + ALPHA
-                    p /= total(p)
-                    # Exact replica of rng.choice(n_topics, p=p): choice
-                    # samples cdf.searchsorted(random(), 'right') on the
-                    # renormalized cumulative sum; inlining it skips
-                    # choice's per-call validation of p.
-                    cdf = p.cumsum()
-                    cdf /= cdf[-1]
-                    k_new = int(cdf.searchsorted(draws[i], side="right"))
-                    topics[i] = k_new
-                    row[k_new] += 1
-                    totals[k_new] += 1
-                    dt_row[k_new] += 1
-                    loglik += float(log(p.item(k_new)))
-                assignments[doc_id] = np.asarray(topics)
-                out.append((doc_id, loglik))
-            return out
-
-        sampler = gibbs_pass_fast if use_fast else gibbs_pass
         logliks = []
         for iteration in range(ITERATIONS):
             results = corpus.map_partitions(
