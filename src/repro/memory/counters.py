@@ -47,6 +47,16 @@ class AccessCounters:
         self.random_reads += other.random_reads
         self.random_writes += other.random_writes
 
+    def add_times(self, other: "AccessCounters", times: int) -> None:
+        """Accumulate ``times`` copies of ``other`` in place: for integer
+        counts, exactly what ``times`` calls of :meth:`add` produce."""
+        self.media_reads += times * other.media_reads
+        self.media_writes += times * other.media_writes
+        self.bytes_read += times * other.bytes_read
+        self.bytes_written += times * other.bytes_written
+        self.random_reads += times * other.random_reads
+        self.random_writes += times * other.random_writes
+
     def __add__(self, other: "AccessCounters") -> "AccessCounters":
         result = AccessCounters()
         result.add(self)
@@ -74,6 +84,37 @@ class AccessCounters:
             random_reads=self.random_reads - since.random_reads,
             random_writes=self.random_writes - since.random_writes,
         )
+
+
+class PendingBursts:
+    """Bursts counted but not yet added to the counters they feed.
+
+    Each cell ``[bursts, delta, share]`` stands for ``bursts`` equal bursts
+    whose ``delta`` goes to ``total`` and whose ``share`` goes to each of
+    ``shares``.  :meth:`fold` adds ``bursts × delta`` and ``bursts ×
+    share`` (for integer counts, exactly the repeated sums) and empties
+    the list.  A device and its DIMMs share one, so reading any of their
+    counters folds all of them, and no DIMM refers back to its device.
+    """
+
+    __slots__ = ("total", "shares", "cells")
+
+    def __init__(self, total: AccessCounters) -> None:
+        self.total = total
+        self.shares: list[AccessCounters] = []
+        self.cells: list[list] = []
+
+    def fold(self) -> None:
+        cells = self.cells
+        if not cells:
+            return
+        for cell in cells:
+            bursts, delta, share = cell
+            cell[0] = 0
+            self.total.add_times(delta, bursts)
+            for counters in self.shares:
+                counters.add_times(share, bursts)
+        cells.clear()
 
 
 @dataclass

@@ -21,7 +21,8 @@ Determinism: service times depend only on the burst, the device state at
 admission time, and static parameters — repeated runs are bit-identical.
 That purity is also what lets each device memoize its arithmetic by
 value (see :meth:`MemoryDevice.service_time` and
-:meth:`MemoryDevice.record`).
+:meth:`MemoryDevice.record`), and lets ``record`` count bursts and fold
+their counter deltas only when the counters are read.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import typing as t
 from dataclasses import dataclass, field
 
-from repro.memory.counters import AccessCounters
+from repro.memory.counters import AccessCounters, PendingBursts
 from repro.memory.dimm import Dimm
 from repro.memory.technology import MemoryTechnology
 from repro.sim import Environment, Resource
@@ -53,19 +54,27 @@ class AccessProfile:
     bytes_written: float = 0.0
     random_reads: float = 0.0
     random_writes: float = 0.0
+    #: Hash of the four values, computed once: every burst is a memo key
+    #: of ``service_time`` and ``record``.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        values = (self.bytes_read, self.bytes_written, self.random_reads, self.random_writes)
         if (
             self.bytes_read < 0
             or self.bytes_written < 0
             or self.random_reads < 0
             or self.random_writes < 0
         ):
-            for name in (
-                "bytes_read", "bytes_written", "random_reads", "random_writes"
+            for name, value in zip(
+                ("bytes_read", "bytes_written", "random_reads", "random_writes"), values
             ):
-                if getattr(self, name) < 0:
+                if value < 0:
                     raise ValueError(f"{name} must be non-negative")
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def total_bytes(self) -> float:
@@ -129,6 +138,16 @@ class PathCharacteristics:
             raise ValueError("efficiency must be in (0, 1]")
         if not 0 < self.mlp_factor <= 1:
             raise ValueError("mlp_factor must be in (0, 1]")
+        # Hashed once, like AccessProfile: a path is part of every
+        # ``service_time`` memo key.
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.hop_latency, self.bandwidth_cap, self.efficiency, self.mlp_factor)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def effective_mlp(self, mlp: float) -> float:
         """Overlap achievable on this path (never below 1)."""
@@ -165,13 +184,18 @@ class MemoryDevice:
         self.env = env
         self.name = name
         self.technology = technology
-        self.dimms = [Dimm(f"{name}/dimm{i}", technology) for i in range(dimm_count)]
+        self._counters = AccessCounters()
+        #: Bursts recorded since the counters were last read, shared with
+        #: the DIMMs (see :meth:`record`).
+        self._pending = PendingBursts(self._counters)
+        self.dimms = [
+            Dimm(f"{name}/dimm{i}", technology, self._pending) for i in range(dimm_count)
+        ]
         self.queue = Resource(
             env,
             capacity=dimm_count * technology.queue_depth_per_dimm,
             name=f"{name}-queue",
         )
-        self.counters = AccessCounters()
         #: Streams currently inside the controller (granted queue slots
         #: actively transferring) — drives fair-share bandwidth.
         self._active_streams = 0
@@ -252,64 +276,19 @@ class MemoryDevice:
         self._mba_fraction = fraction
 
     # -- service model ------------------------------------------------------------
-    def effective_bandwidth(
-        self,
-        write: bool,
-        path: PathCharacteristics = LOCAL_PATH,
-        concurrent_streams: int | None = None,
-        core_stream_bw: float = DEFAULT_CORE_STREAM_BW,
-        apply_mba: bool = True,
-    ) -> float:
-        """Stream bandwidth one burst receives right now, bytes/s.
-
-        The device's peak (direction-specific, path-derated) is shared
-        fairly among active streams, ceilinged by the interconnect cap
-        and by what a single core can pull.  MBA throttles the per-core
-        request rate of *streaming* traffic; latency-bound accesses pass
-        ``apply_mba=False`` because the hardware's delay mechanism barely
-        affects dependent-miss traffic (the root of Fig. 3's
-        insensitivity).
-        """
-        peak = self.peak_write_bandwidth if write else self.peak_read_bandwidth
-        peak *= path.efficiency
-        streams = (
-            max(1, self._active_streams)
-            if concurrent_streams is None
-            else max(1, concurrent_streams)
-        )
-        fair_share = peak / streams
-        core_bw = core_stream_bw * self._mba_fraction if apply_mba else core_stream_bw
-        return max(1.0, min(core_bw, fair_share, path.bandwidth_cap))
-
-    def _random_access_bandwidth(
-        self,
-        write: bool,
-        path: PathCharacteristics,
-        core_stream_bw: float,
-    ) -> float:
-        """Media throughput available to random-access traffic, bytes/s.
-
-        Uses the pool's *raw* media bandwidth (path efficiency is a
-        loaded-streaming pathology measured end-to-end and does not bind
-        individual granule fetches), shared fairly among active streams,
-        ceilinged by the interconnect and the core.  MBA does not delay
-        this traffic (see :meth:`set_bandwidth_cap`).
-        """
-        peak = self.peak_write_bandwidth if write else self.peak_read_bandwidth
-        streams = max(1, self._active_streams)
-        return max(1.0, min(core_stream_bw, peak / streams, path.bandwidth_cap))
-
     def _reset_memos(self) -> None:
         """Start the value memos of ``service_time`` and ``record`` afresh
         for the current ``technology``.  Both call it whenever
         ``technology`` is no longer the object the memos were built for:
         :func:`repro.memory.faults.age_device` swaps it on a live device,
-        and swaps it back."""
+        and swaps it back.  Cells still pending keep the deltas they were
+        recorded with until the next fold."""
         self._service_memo: dict[tuple, float] = {}
-        self._record_memo: dict[
-            AccessProfile, tuple[AccessCounters, AccessCounters]
-        ] = {}
+        self._record_memo: dict[AccessProfile, list] = {}
         self._memo_technology = self.technology
+        #: Peak bandwidths for ``_service_time``'s misses.
+        self._peak_read = self.peak_read_bandwidth
+        self._peak_write = self.peak_write_bandwidth
 
     def service_time(
         self,
@@ -363,6 +342,16 @@ class MemoryDevice:
         mlp_r = path.effective_mlp(mlp_r)
         mlp_w = path.effective_mlp(mlp_w)
 
+        # Bandwidth: the pool's direction-specific peak (the memo's) is
+        # shared fairly among active streams, ceilinged by the interconnect
+        # cap and by what one core can pull.  Streamed bytes get the
+        # path-derated peak, and MBA throttles the core's request rate.
+        # Random accesses move media granules at the *raw* peak (path
+        # efficiency is a loaded-streaming pathology that does not bind
+        # individual granule fetches), and MBA barely delays such
+        # dependent-miss traffic, the root of Fig. 3's insensitivity (see
+        # :meth:`set_bandwidth_cap`).
+        streams = max(1, self._active_streams)
         gran = tech.access_granularity
         total = 0.0
         if profile.random_reads:
@@ -374,8 +363,8 @@ class MemoryDevice:
                 profile.random_reads * (tech.read_latency + path.hop_latency) / mlp_r
             )
             media_bytes = profile.random_reads * gran
-            throughput_term = media_bytes / self._random_access_bandwidth(
-                write=False, path=path, core_stream_bw=core_stream_bw
+            throughput_term = media_bytes / max(
+                1.0, min(core_stream_bw, self._peak_read / streams, path.bandwidth_cap)
             )
             total += max(latency_term, throughput_term)
         if profile.random_writes:
@@ -383,18 +372,19 @@ class MemoryDevice:
                 profile.random_writes * (tech.write_latency + path.hop_latency) / mlp_w
             )
             media_bytes = profile.random_writes * gran
-            throughput_term = media_bytes / self._random_access_bandwidth(
-                write=True, path=path, core_stream_bw=core_stream_bw
+            throughput_term = media_bytes / max(
+                1.0, min(core_stream_bw, self._peak_write / streams, path.bandwidth_cap)
             )
             total += max(latency_term, throughput_term)
 
+        core_bw = core_stream_bw * self._mba_fraction
         if profile.bytes_read:
-            total += profile.bytes_read / self.effective_bandwidth(
-                write=False, path=path, core_stream_bw=core_stream_bw
-            )
+            fair_share = self._peak_read * path.efficiency / streams
+            total += profile.bytes_read / max(1.0, min(core_bw, fair_share, path.bandwidth_cap))
         if profile.bytes_written:
-            total += profile.bytes_written / self.effective_bandwidth(
-                write=True, path=path, core_stream_bw=core_stream_bw
+            fair_share = self._peak_write * path.efficiency / streams
+            total += profile.bytes_written / max(
+                1.0, min(core_bw, fair_share, path.bandwidth_cap)
             )
         return total
 
@@ -447,6 +437,12 @@ class MemoryDevice:
         return self._active_streams
 
     # -- accounting ------------------------------------------------------------
+    @property
+    def counters(self) -> AccessCounters:
+        """The device's running totals, with every recorded burst folded in."""
+        self._pending.fold()
+        return self._counters
+
     def record(self, profile: AccessProfile) -> None:
         """Convert a served burst into media-level counters.
 
@@ -458,19 +454,22 @@ class MemoryDevice:
         The device and per-DIMM deltas depend only on the profile's
         values, the technology's granule and the DIMM count, so they are
         memoized by profile value: chunked payment, control traffic and
-        replay serve equal profiles over and over.  A hit adds the
-        identical integer deltas a fresh computation would, keeping
-        every counter bit-identical.
+        replay serve equal profiles over and over.  A call only counts
+        the burst in its memo cell ``[bursts, device delta, per-DIMM
+        delta]``; reading ``counters`` on the device or on any of its
+        DIMMs folds ``bursts × delta`` into all of them
+        (:class:`~repro.memory.counters.PendingBursts`).  The deltas are
+        integers, so each product equals the repeated sum and every
+        counter is bit-identical to adding the deltas call by call.
         """
         if self.technology is not self._memo_technology:
             self._reset_memos()
-        deltas = self._record_memo.get(profile)
-        if deltas is None:
-            deltas = self._record_memo[profile] = self._record_deltas(profile)
-        delta, per_dimm = deltas
-        self.counters.add(delta)
-        for dimm in self.dimms:
-            dimm.record(per_dimm)
+        cell = self._record_memo.get(profile)
+        if cell is None:
+            cell = self._record_memo[profile] = [0, *self._record_deltas(profile)]
+        if not cell[0]:
+            self._pending.cells.append(cell)
+        cell[0] += 1
 
     def _record_deltas(
         self, profile: AccessProfile

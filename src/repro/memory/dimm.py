@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from repro.memory.counters import AccessCounters
+from repro.memory.counters import AccessCounters, PendingBursts
 from repro.memory.technology import MemoryTechnology
 
 
@@ -14,13 +14,24 @@ class Dimm:
     The device model (:class:`repro.memory.device.MemoryDevice`) stripes
     traffic across its DIMMs round-robin (interleaving), so per-DIMM
     counters are simply the device totals divided evenly — matching how a
-    real interleaved namespace spreads load.
+    real interleaved namespace spreads load.  A DIMM of a device receives
+    its share when the counters are read: reading :attr:`counters` folds
+    the bursts the device has recorded since the last read.
     """
 
-    def __init__(self, dimm_id: str, technology: MemoryTechnology) -> None:
+    def __init__(
+        self,
+        dimm_id: str,
+        technology: MemoryTechnology,
+        pending: PendingBursts | None = None,
+    ) -> None:
         self.dimm_id = dimm_id
         self.technology = technology
-        self.counters = AccessCounters()
+        self._counters = AccessCounters()
+        #: The owning device's pending bursts, which feed this DIMM too.
+        self._pending = pending
+        if pending is not None:
+            pending.shares.append(self._counters)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Dimm {self.dimm_id} {self.technology.name}>"
@@ -29,9 +40,13 @@ class Dimm:
     def capacity(self) -> int:
         return self.technology.dimm_capacity
 
-    def record(self, counters: AccessCounters) -> None:
-        """Accumulate a share of device traffic onto this DIMM."""
-        self.counters.add(counters)
+    @property
+    def counters(self) -> AccessCounters:
+        """This DIMM's running totals, with its device's pending bursts
+        folded in."""
+        if self._pending is not None:
+            self._pending.fold()
+        return self._counters
 
     # -- endurance ---------------------------------------------------------
     @property

@@ -28,7 +28,18 @@ verifies plus the shuffle chunk size; later replays only bind a fresh
 never pickled, checksummed or compared, and it goes when the decoded
 trace does.  Every burst still goes through the device's
 ``service_time``/``record``, whose value memos make the many repeated
-bursts of a replay cheap.
+bursts of a replay cheap; ``record`` only counts a burst, and the
+device folds the counted deltas into its and its DIMMs' counters when
+the telemetry readers read them.
+
+**Cheap events.**  The kernel loop resumes a generator inline and
+merges the entry it hands back into the heap with the next pop
+(``heappushpop``), so a process that stays the earliest never touches
+the heap.  A task attempt is one generator frame, its memory bursts,
+HDFS transfers and compute chunks written out, so a resume passes
+through no ``yield from`` chain.  The yields are those of the executor
+code the walk mirrors and each sequence number is drawn where its
+process suspends, so entries pop in ``(time, priority, seq)`` order.
 
 **Evaluation order.**  An RDD's record-size estimate is fixed by the
 first non-empty partition evaluated (``RDD._observe``), so the
@@ -62,7 +73,7 @@ from __future__ import annotations
 
 import typing as t
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from itertools import count
 
 import numpy as np
@@ -192,53 +203,78 @@ class _MicroKernel:
             res.count += 1
             heappush(self._heap, (self.now, 1, next(self._seq), 0, proc))
 
-    def _step(self, proc: _Proc) -> None:
-        gen = proc.gen
-        heap = self._heap
-        while True:
-            try:
-                op, arg = next(gen)
-            except StopIteration:
-                if proc.on_done is not None:
-                    proc.on_done()
-                return
-            if op == _TIMEOUT:
-                heappush(heap, (self.now + arg, 1, next(self._seq), 0, proc))
-                return
-            if op == _ACQUIRE:
-                if arg.count < arg.capacity:
-                    arg.count += 1
-                    heappush(heap, (self.now, 1, next(self._seq), 0, proc))
-                else:
-                    arg.queue.append(proc)
-                return
-            # _WAIT: continue inline when already done (the real kernel
-            # resumes inline on already-processed events).
-            if arg.done:
-                continue
-            arg.waiters.append(proc)
-            return
-
     def run_until(self, remaining: list[int]) -> None:
-        """Pop events until the counter cell hits zero."""
+        """Pop events until the counter cell hits zero.
+
+        A resumed generator runs inline until it suspends.  The entry it
+        hands back (a timeout or an immediate grant) is merged into the
+        heap by the next pop with ``heappushpop``, which returns what a
+        push followed by a pop would, without touching the heap when that
+        entry is already the minimum.  Entries are unique in ``(time,
+        priority, seq)``, so the pop order is the push-then-pop order,
+        and every sequence number is drawn where the process suspends.
+        The waiters of an event completion resume in subscription order,
+        each one's entry pushed before the next runs, so all of them are
+        on the heap before the next pop.
+        """
         heap = self._heap
         env = self.env
+        seq = self._seq
         popped = 0
+        #: The last resumed process's next entry, not yet on the heap.
+        entry = None
+        #: Waiters of the last event completion still to resume, last first.
+        waiting: list[_Proc] = []
         try:
-            while remaining[0]:
-                time, _, _, kind, payload = heappop(heap)
-                popped += 1
-                self.now = time
-                env._now = time
-                if kind == 0:
-                    self._step(payload)
-                else:  # event completion: resume waiters in subscription order
-                    payload.done = True
-                    waiters = payload.waiters
-                    payload.waiters = []
-                    for proc in waiters:
-                        self._step(proc)
+            while True:
+                if waiting:
+                    if entry is not None:
+                        heappush(heap, entry)
+                        entry = None
+                    proc = waiting.pop()
+                elif not remaining[0]:
+                    break
+                else:
+                    if entry is None:
+                        time, _, _, kind, proc = heappop(heap)
+                    else:
+                        time, _, _, kind, proc = heappushpop(heap, entry)
+                        entry = None
+                    popped += 1
+                    self.now = env._now = time
+                    if kind:  # event completion: the payload is a _FastEvent
+                        proc.done = True
+                        waiting = proc.waiters
+                        proc.waiters = []
+                        waiting.reverse()
+                        continue
+                gen = proc.gen
+                while True:
+                    try:
+                        op, arg = next(gen)
+                    except StopIteration:
+                        if proc.on_done is not None:
+                            proc.on_done()
+                        break
+                    if op == _TIMEOUT:
+                        entry = (time + arg, 1, next(seq), 0, proc)
+                        break
+                    if op == _ACQUIRE:
+                        if arg.count < arg.capacity:
+                            arg.count += 1
+                            entry = (time, 1, next(seq), 0, proc)
+                        else:
+                            arg.queue.append(proc)
+                        break
+                    # _WAIT: continue inline when already done (the real
+                    # kernel resumes inline on already-processed events).
+                    if arg.done:
+                        continue
+                    arg.waiters.append(proc)
+                    break
         finally:
+            if entry is not None:
+                heappush(heap, entry)
             self.processed += popped
 
 
@@ -306,6 +342,20 @@ class _FastExecutor:
         #: process generators emit executor-track spans when present.
         self.tracer: t.Any | None = None
 
+    def control_profile(self) -> AccessProfile:
+        """``Executor._control_traffic``'s burst: churn sampled at the
+        live slot count."""
+        concurrent = max(1, self.slots.count)
+        profile = self.control_profiles.get(concurrent)
+        if profile is None:
+            churn = self.control_writes + GC_WRITES_PER_CONCURRENT_TASK * concurrent
+            profile = self.control_profiles[concurrent] = AccessProfile(
+                bytes_written=TASK_CONTROL_BYTES,
+                random_reads=0.7 * churn,
+                random_writes=0.3 * churn,
+            )
+        return profile
+
     def startup_event(self, kernel: _MicroKernel) -> _FastEvent:
         """Lazily launch the JVM startup process (``ensure_started``)."""
         ev = self.startup_ev
@@ -361,8 +411,7 @@ class _TaskData:
         "ops_chunk",
         "chunk_profile",
         "chunk_empty",
-        "hdfs_io",
-        "disk_io",
+        "fetch_io",
         "out_nbytes",
         "is_shuffle_map",
         "eval_rank",
@@ -381,9 +430,10 @@ class _JobsView:
 
 # -- process generators ----------------------------------------------------------
 #
-# These replicate Executor._startup / stage_broadcast / _control_traffic /
-# run_task and DataNode.transfer / Socket.compute operation for
-# operation; every arithmetic step calls the real model objects.
+# These replicate Executor._startup / stage_broadcast / run_task (with
+# _control_traffic, _pay, DataNode.transfer and Socket.compute inlined)
+# operation for operation; every arithmetic step calls the real model
+# objects.
 
 
 def _access(kernel: _MicroKernel, ex: _FastExecutor, profile: AccessProfile) -> t.Generator:
@@ -398,24 +448,6 @@ def _access(kernel: _MicroKernel, ex: _FastExecutor, profile: AccessProfile) -> 
     device._stream_finished()
     kernel.release(ex.queue)
     device.record(profile)
-
-
-def _compute(ex: _FastExecutor, ops: float) -> t.Generator:
-    """``Socket.compute`` — rate sampled at current thread occupancy."""
-    duration = ex.cpu.compute_seconds(ops, busy_threads=ex.threads.count)
-    yield (_TIMEOUT, duration)
-
-
-def _transfer(kernel: _MicroKernel, dn: _FastDataNode, nbytes: int, write: bool) -> t.Generator:
-    """``DataNode.transfer`` — share sampled at admission."""
-    yield (_ACQUIRE, dn.streams)
-    share = dn.bandwidth / max(1, dn.streams.count)
-    yield (_TIMEOUT, dn.request_overhead + nbytes / share)
-    kernel.release(dn.streams)
-    if write:
-        dn.node.bytes_written += nbytes
-    else:
-        dn.node.bytes_read += nbytes
 
 
 #: The executor's fixed JVM-startup and stage-broadcast bursts.
@@ -448,20 +480,6 @@ def _startup(kernel: _MicroKernel, ex: _FastExecutor) -> t.Generator:
             tier=ex.tier_id,
             executor=ex.executor_id,
         )
-
-
-def _control_traffic(kernel: _MicroKernel, ex: _FastExecutor) -> t.Generator:
-    """``Executor._control_traffic``: churn sampled at live slot count."""
-    concurrent = max(1, ex.slots.count)
-    profile = ex.control_profiles.get(concurrent)
-    if profile is None:
-        churn = ex.control_writes + GC_WRITES_PER_CONCURRENT_TASK * concurrent
-        profile = ex.control_profiles[concurrent] = AccessProfile(
-            bytes_written=TASK_CONTROL_BYTES,
-            random_reads=0.7 * churn,
-            random_writes=0.3 * churn,
-        )
-    yield from _access(kernel, ex, profile)
 
 
 def _broadcast(kernel: _MicroKernel, ex: _FastExecutor) -> t.Generator:
@@ -498,6 +516,11 @@ def _run_task(
     record this replay fills.  ``order`` is the task set's ``[tasks
     evaluated, highest capture rank among them]``, shared by its tasks
     for the evaluation-order check.
+
+    The attempt is one generator frame: each memory burst is
+    ``MemoryDevice.access`` written out (queue slot, ``service_time``,
+    timeout, ``record``), each HDFS transfer ``DataNode.transfer`` and
+    each compute chunk ``Socket.compute``, yield for yield.
     """
     m.task_id = td.task_id
     m.partition = td.partition
@@ -506,6 +529,11 @@ def _run_task(
     # Phase stamps accumulate only under observation, mirroring
     # ``Executor.run_task`` boundary for boundary.
     phases = m.phases if ex.tracer is not None else None
+    release = kernel.release
+    device = ex.device
+    queue = ex.queue
+    path = ex.path
+    core_bw = ex.core_bw
 
     yield (_WAIT, ex.startup_event(kernel))
     yield (_ACQUIRE, ex.slots)
@@ -513,18 +541,28 @@ def _run_task(
     dispatch_started = kernel.now
     yield (_ACQUIRE, ex.dispatch)
     yield (_TIMEOUT, ex.dispatch_overhead)
-    kernel.release(ex.dispatch)
+    release(ex.dispatch)
     m.dispatch_wait = kernel.now - dispatch_started
     if phases is not None:
         phases.append(("dispatch", dispatch_started, kernel.now))
 
+    # Control traffic (``Executor._control_traffic``), sampled at the live
+    # slot count.  Its profile writes TASK_CONTROL_BYTES, so it is never
+    # empty.
     work_started = kernel.now
-    yield from _control_traffic(kernel, ex)
+    profile = ex.control_profile()
+    yield (_ACQUIRE, queue)
+    device._stream_started()
+    yield (_TIMEOUT, device.service_time(profile, path, core_bw))
+    device._stream_finished()
+    release(queue)
+    device.record(profile)
     if phases is not None:
         phases.append(("control", work_started, kernel.now))
 
+    threads = ex.threads
     cpu_wait_started = kernel.now
-    yield (_ACQUIRE, ex.threads)
+    yield (_ACQUIRE, threads)
     m.cpu_wait = kernel.now - cpu_wait_started
 
     # Evaluation: inject the recorded residue (Executor._evaluate +
@@ -554,31 +592,48 @@ def _run_task(
     m.random_writes += td.random_writes
     m.compute_ops += td.ops
 
-    # Timed HDFS reads: disk transfer + page-cache pass on the tier.
+    # Timed HDFS reads and disk-backed block cache traffic: a datanode
+    # transfer (share sampled at admission), then the page-cache pass on
+    # the tier.  Empty pages were compiled to None.
+    streams = dn.streams
+    node = dn.node
     fetch_started = kernel.now
-    had_fetch = bool(td.hdfs_io or td.disk_io)
-    for nbytes_int, page in td.hdfs_io:
-        yield from _transfer(kernel, dn, nbytes_int, False)
-        yield from _access(kernel, ex, page)
-
-    # Disk-backed block cache traffic.
-    for nbytes_int, write, page in td.disk_io:
-        yield from _transfer(kernel, dn, nbytes_int, write)
-        yield from _access(kernel, ex, page)
+    had_fetch = bool(td.fetch_io)
+    for nbytes, write, page in td.fetch_io:
+        yield (_ACQUIRE, streams)
+        yield (_TIMEOUT, dn.request_overhead + nbytes / (dn.bandwidth / max(1, streams.count)))
+        release(streams)
+        if write:
+            node.bytes_written += nbytes
+        else:
+            node.bytes_read += nbytes
+        if page is not None:
+            yield (_ACQUIRE, queue)
+            device._stream_started()
+            yield (_TIMEOUT, device.service_time(page, path, core_bw))
+            device._stream_finished()
+            release(queue)
+            device.record(page)
     if phases is not None and had_fetch:
         phases.append(("fetch", fetch_started, kernel.now))
 
     # Chunked compute/memory payment (Executor._pay): one chunk profile
-    # served ``n_chunks`` times.
+    # served ``n_chunks`` times, compute rate sampled at thread occupancy.
     pay_started = kernel.now
     ops_chunk = td.ops_chunk
     chunk_profile = td.chunk_profile
     chunk_busy = not td.chunk_empty
+    cpu = ex.cpu
     for _ in range(td.n_chunks):
         if ops_chunk > 0:
-            yield from _compute(ex, ops_chunk)
+            yield (_TIMEOUT, cpu.compute_seconds(ops_chunk, busy_threads=threads.count))
         if chunk_busy:
-            yield from _access(kernel, ex, chunk_profile)
+            yield (_ACQUIRE, queue)
+            device._stream_started()
+            yield (_TIMEOUT, device.service_time(chunk_profile, path, core_bw))
+            device._stream_finished()
+            release(queue)
+            device.record(chunk_profile)
     if phases is not None:
         phases.append(
             (
@@ -588,11 +643,16 @@ def _run_task(
             )
         )
 
-    # Spill traffic discovered during evaluation.
+    # Spill traffic discovered during evaluation (never an empty burst).
     if m.spill_bytes > 0:
         spill_started = kernel.now
         spill = AccessProfile(bytes_read=m.spill_bytes, bytes_written=m.spill_bytes)
-        yield from _access(kernel, ex, spill)
+        yield (_ACQUIRE, queue)
+        device._stream_started()
+        yield (_TIMEOUT, device.service_time(spill, path, core_bw))
+        device._stream_finished()
+        release(queue)
+        device.record(spill)
         if phases is not None:
             phases.append(("spill", spill_started, kernel.now))
 
@@ -605,23 +665,45 @@ def _run_task(
             # reproduce; the caller simulates the point directly.
             raise ReplayDivergence("replay failed: recorded result had no len()")
         output_started = kernel.now
-        page = AccessProfile(bytes_read=out_nbytes, bytes_written=out_nbytes)
-        yield from _access(kernel, ex, page)
-        yield from _transfer(kernel, dn, out_nbytes * dn.replication, True)
+        if out_nbytes:
+            page = AccessProfile(bytes_read=out_nbytes, bytes_written=out_nbytes)
+            yield (_ACQUIRE, queue)
+            device._stream_started()
+            yield (_TIMEOUT, device.service_time(page, path, core_bw))
+            device._stream_finished()
+            release(queue)
+            device.record(page)
+        nbytes = out_nbytes * dn.replication
+        yield (_ACQUIRE, streams)
+        yield (_TIMEOUT, dn.request_overhead + nbytes / (dn.bandwidth / max(1, streams.count)))
+        release(streams)
+        node.bytes_written += nbytes
         if phases is not None:
             phases.append(("output", output_started, kernel.now))
 
-    kernel.release(ex.threads)
+    release(threads)
     teardown_started = kernel.now
-    yield from _control_traffic(kernel, ex)
+    profile = ex.control_profile()
+    yield (_ACQUIRE, queue)
+    device._stream_started()
+    yield (_TIMEOUT, device.service_time(profile, path, core_bw))
+    device._stream_finished()
+    release(queue)
+    device.record(profile)
     if phases is not None:
         phases.append(("teardown", teardown_started, kernel.now))
-    kernel.release(ex.slots)
+    release(ex.slots)
 
     m.finish_time = kernel.now
 
 
 # -- compiled plan ---------------------------------------------------------------
+
+
+def _page(raw: float) -> AccessProfile | None:
+    """The page-cache burst of ``raw`` bytes, or None when it is empty."""
+    page = AccessProfile(bytes_read=raw, bytes_written=raw)
+    return None if page.is_empty else page
 
 
 def _compile_task_set(ts: TaskSetTrace, chunk_bytes: int) -> tuple[_TaskData, ...]:
@@ -719,20 +801,15 @@ def _compile_task_set(ts: TaskSetTrace, chunk_bytes: int) -> tuple[_TaskData, ..
             random_writes=chunk_rw_l[i],
         )
         td.chunk_empty = chunk_empty_l[i]
-        td.hdfs_io = [
-            (nb, AccessProfile(bytes_read=raw, bytes_written=raw))
-            for nb, raw in io["hdfs_reads"][i]
-        ]
-        td.disk_io = [
-            *(
-                (nb, False, AccessProfile(bytes_read=raw, bytes_written=raw))
-                for nb, raw in io["disk_reads"][i]
-            ),
-            *(
-                (nb, True, AccessProfile(bytes_read=raw, bytes_written=raw))
-                for nb, raw in io["disk_writes"][i]
-            ),
-        ]
+        # HDFS reads, then disk-cache reads and writes, in run_task's
+        # order: ``(transfer bytes, write, page-cache burst or None)``.
+        td.fetch_io = tuple(
+            (nb, write, _page(raw))
+            for kind, write in (
+                ("hdfs_reads", False), ("disk_reads", False), ("disk_writes", True)
+            )
+            for nb, raw in io[kind][i]
+        )
         td.out_nbytes = out_nbytes[i] if out_mask is not None and out_mask[i] else None
         td.is_shuffle_map = is_shuffle_map
         td.eval_rank = cols["eval_rank"][i]

@@ -18,7 +18,7 @@ import numpy as np
 from repro.spark.context import SparkContext
 from repro.spark.costs import CostSpec
 from repro.workloads import datagen
-from repro.workloads._exact import pairwise_sum
+from repro.workloads._exact import pairwise_sum, replicas_match
 from repro.workloads.base import SizeProfile, Workload
 
 #: Split search over feature histograms: compute-heavy, some pointer work.
@@ -50,17 +50,22 @@ class _Node:
 def _gini_from_counts(counts: t.Sequence[int], size: int) -> float:
     """Gini impurity from a label histogram.
 
-    Rounds exactly like the sorted-unique formulation it replaced
-    (``1 - np.sum((np.unique counts / size) ** 2)``): each squared
-    probability is the same two IEEE ops, absent-label zeros contribute
-    exactly ``0.0`` to the fold, and :func:`pairwise_sum` replays
-    ``np.sum``'s reduction grouping.
+    Rounds exactly like the sorted-unique formulation it replaced,
+    ``1 - np.sum((np.unique(labels, return_counts=True)[1] / size) ** 2)``:
+    only the labels present are summed (absent-label zeros would shift
+    ``np.sum``'s pairwise grouping once eight or more values remain),
+    each squared probability is the same two IEEE ops, and the total is
+    :func:`pairwise_sum` where :func:`replicas_match` holds, ``np.sum``
+    otherwise.
     """
     squares = []
     for c in counts:
-        p = c / size
-        squares.append(p * p)
-    return 1.0 - pairwise_sum(squares)
+        if c:
+            p = c / size
+            squares.append(p * p)
+    if replicas_match():
+        return 1.0 - pairwise_sum(squares)
+    return 1.0 - float(np.sum(squares))
 
 
 def _gini(labels: np.ndarray) -> float:

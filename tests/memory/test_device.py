@@ -1,5 +1,8 @@
 """MemoryDevice service model: latency, bandwidth, queueing, counters."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.memory.device import (
@@ -9,6 +12,7 @@ from repro.memory.device import (
     PathCharacteristics,
 )
 from repro.memory.technology import DDR4_DRAM, OPTANE_DCPM
+from repro.sim import Environment
 from repro.units import MB, gbps_to_bps, ns_to_s
 
 
@@ -169,6 +173,21 @@ def test_record_updates_counters_and_dimms(env, nvm):
     # Interleaving spreads across 4 DIMMs.
     per_dimm = nvm.dimms[0].counters
     assert per_dimm.media_reads == pytest.approx(counters.media_reads / 4, abs=1)
+
+
+def test_device_is_freed_without_the_cycle_collector():
+    """A device and its DIMMs hold no reference cycle, even with bursts
+    pending, so a replay's devices go with their last reference instead
+    of waiting for the cycle collector."""
+    device = MemoryDevice(Environment(), "nvm0", OPTANE_DCPM, dimm_count=4)
+    device.record(AccessProfile(random_writes=10))
+    alive = weakref.ref(device)
+    gc.disable()
+    try:
+        del device
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_access_process_returns_elapsed(env, dram):

@@ -15,9 +15,13 @@ from repro.memory.device import (
     MemoryDevice,
     PathCharacteristics,
 )
+from repro.memory.energy import DimmEnergyModel
 from repro.memory.faults import age_device, aged_technology
 from repro.memory.technology import DDR4_DRAM, OPTANE_DCPM
+from repro.memory.wear import WearTracker
 from repro.sim import Environment
+from repro.telemetry.ipmctl import IpmctlReader
+from repro.telemetry.rapl import RaplReader
 from repro.units import CACHE_LINE, gbps_to_bps, ns_to_s
 
 volumes = st.floats(min_value=0.0, max_value=1e8, allow_nan=False)
@@ -303,6 +307,122 @@ def test_memoized_model_equals_unmemoized_arithmetic(tech, dimms, domains, opera
         serve_all()
     while aging:
         aging.pop().__exit__(None, None, None)
+    assert device.technology is tech
+    assert device.counters == counters
+    assert all(dimm.counters == per_dimm for dimm in device.dimms)
+
+
+# ------------------------------------------------------ read-time accounting
+
+#: A technology with another media granule, so that a swap to it changes
+#: the counter deltas of every burst (``age_device`` keeps the granule).
+COARSE_DRAM = dataclasses.replace(DDR4_DRAM, name="DDR4 (coarse)", access_granularity=512)
+
+ACCOUNTING_OPERATIONS = st.one_of(
+    st.tuples(st.just("record"), st.integers(0, len(PROFILES) - 1)),
+    st.tuples(
+        st.just("fresh"),
+        st.tuples(
+            st.floats(0.0, 1e7, allow_nan=False),
+            st.floats(0.0, 1e7, allow_nan=False),
+            st.floats(0.0, 1e4, allow_nan=False),
+            st.floats(0.0, 1e4, allow_nan=False),
+        ),
+    ),
+    st.tuples(st.just("age"), st.sampled_from([0.3, 0.8])),
+    st.just(("unage",)),
+    st.just(("swap",)),
+    st.tuples(st.just("cap"), st.sampled_from([0.1, 0.5, 1.0])),
+    st.just(("device",)),
+    st.tuples(st.just("dimm"), st.integers(0, 3)),
+    st.just(("ipmctl",)),
+    st.just(("rapl",)),
+    st.just(("wear",)),
+)
+
+
+@given(
+    tech=st.sampled_from([DDR4_DRAM, OPTANE_DCPM]),
+    dimms=st.sampled_from([1, 2, 4]),
+    operations=st.lists(ACCOUNTING_OPERATIONS, max_size=40),
+)
+@settings(max_examples=150, deadline=None)
+def test_counters_read_equal_eager_accumulation(tech, dimms, operations):
+    """``record`` counts bursts and the counters fold them when read.
+    Under any interleaving of repeated and fresh bursts, ``age_device``
+    entry and exit, swaps to a technology with another granule, MBA
+    changes and reads, every read equals counters that added each
+    burst's deltas at the moment it was recorded: the device's and each
+    DIMM's ``counters``, the ipmctl and RAPL windows (each read starts a
+    new window) and the wear tracker."""
+    env = Environment()
+    device = MemoryDevice(env, "dev", tech, dimm_count=dimms)
+    ipmctl = IpmctlReader([device])
+    rapl = RaplReader(env, [device])
+    wear = WearTracker([device])
+    techs = [tech]  # the technology each burst is recorded under
+    restore = []  # undo per technology change: an age_device exit or a swap back
+    counters, per_dimm = AccessCounters(), AccessCounters()
+    ipmctl_base, rapl_base = per_dimm.snapshot(), counters.snapshot()
+
+    def retech(new):
+        device.technology = new
+        for dimm in device.dimms:
+            dimm.technology = new
+
+    for op in operations:
+        kind = op[0]
+        if kind in ("record", "fresh"):
+            profile = AccessProfile(*(PROFILES[op[1]] if kind == "record" else op[1]))
+            delta, share = reference_record(techs[-1], dimms, profile)
+            device.record(profile)
+            counters.add(delta)
+            per_dimm.add(share)
+        elif kind == "age":
+            context = age_device(device, op[1])
+            context.__enter__()
+            restore.append(lambda context=context: context.__exit__(None, None, None))
+            techs.append(device.technology)
+        elif kind == "swap":
+            previous = device.technology
+            retech(COARSE_DRAM if previous.access_granularity != 512 else DDR4_DRAM)
+            restore.append(lambda previous=previous: retech(previous))
+            techs.append(device.technology)
+        elif kind == "unage" and restore:
+            restore.pop()()
+            techs.pop()
+        elif kind == "cap":
+            device.set_bandwidth_cap(op[1])
+        elif kind == "device":
+            assert device.counters == counters
+        elif kind == "dimm" and op[1] < dimms:
+            assert device.dimms[op[1]].counters == per_dimm
+        elif kind == "ipmctl":
+            expected = per_dimm.delta(ipmctl_base)
+            for perf in ipmctl.read():
+                assert (
+                    perf.media_reads, perf.media_writes, perf.bytes_read, perf.bytes_written
+                ) == (
+                    expected.media_reads,
+                    expected.media_writes,
+                    expected.bytes_read,
+                    expected.bytes_written,
+                )
+            ipmctl.reset()
+            ipmctl_base = per_dimm.snapshot()
+        elif kind == "rapl":
+            (report,) = rapl.read()
+            _, read, write = DimmEnergyModel(device.technology).energy(
+                counters.delta(rapl_base), 0.0, dimm_count=dimms
+            )
+            assert (report.read_joules, report.write_joules) == (read, write)
+            rapl.reset()
+            rapl_base = counters.snapshot()
+        elif kind == "wear":
+            assert [r.media_writes for r in wear.records(1.0)] == [per_dimm.media_writes] * dimms
+            assert wear.total_media_writes() == dimms * per_dimm.media_writes
+    while restore:
+        restore.pop()()
     assert device.technology is tech
     assert device.counters == counters
     assert all(dimm.counters == per_dimm for dimm in device.dimms)

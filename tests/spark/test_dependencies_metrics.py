@@ -1,6 +1,8 @@
 """Dependency mapping, metrics aggregation, and scheduling priorities."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Environment
 from repro.sim.events import NORMAL, URGENT, Event
@@ -76,6 +78,47 @@ def test_job_summary_and_merge():
 
 def test_merge_empty_jobs():
     assert merge_job_metrics([]) == {"duration": 0.0}
+
+
+SUMMED = (
+    "records_read", "records_written", "bytes_read", "bytes_written",
+    "random_reads", "random_writes", "compute_ops", "shuffle_bytes_written",
+    "shuffle_bytes_read", "spill_bytes", "dispatch_wait", "cpu_wait",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.lists(
+                    st.floats(0.0, 1e9, allow_nan=False), min_size=len(SUMMED) - 1,
+                    max_size=len(SUMMED) - 1,
+                ),
+            ),
+            max_size=12,
+        ),
+        max_size=4,
+    )
+)
+def test_job_summary_totals_each_field_like_total(stages):
+    """The one-pass summary adds each field in task order, as ``total``
+    does field by field: the floats are equal bit for bit."""
+    job = JobMetrics(job_id=0)
+    for stage_id, tasks in enumerate(stages):
+        stage = StageMetrics(stage_id=stage_id)
+        stage.tasks = [
+            TaskMetrics(records_read=count, **dict(zip(SUMMED[1:], values)))
+            for count, values in tasks
+        ]
+        job.stages.append(stage)
+    summary = job.summary()
+    assert list(summary)[3 : 3 + len(SUMMED)] == list(SUMMED)
+    for name in SUMMED:
+        assert summary[name].hex() == job.total(name).hex()
+    assert summary["num_tasks"] == sum(len(tasks) for tasks in stages)
 
 
 # ---------------------------------------------------------- event priorities

@@ -321,3 +321,27 @@ def test_observed_fast_replay_matches_direct_spans():
         obs_direct.registry.gauges["sim.final_time"]
     )
     assert obs_fast.registry.counters["sim.events_processed"] > 0
+
+
+@pytest.mark.parametrize(
+    "workload, executors, cores, events",
+    [("sort", 1, 40, 212), ("lda", 1, 40, 233), ("als", 2, 4, 622)],
+)
+def test_observed_replay_counts_every_kernel_event(workload, executors, cores, events):
+    """The micro-kernel's event accounting is pinned: a tier-0 tiny
+    capture replayed at tier 2 and MBA 50 schedules (draws a sequence
+    number for) and pops exactly this many entries, so the loop can
+    neither drop nor double a pop or a draw."""
+    from repro.obs import ObsConfig, Observer
+
+    base = ExperimentConfig(
+        workload=workload, size="tiny", tier=0,
+        num_executors=executors, executor_cores=cores,
+    )
+    _, trace = capture_experiment(base)
+    assert trace is not None
+    observer = Observer(ObsConfig())
+    fast_replay_experiment(base.with_options(tier=2, mba_percent=50), trace, observer=observer)
+    counters = observer.registry.counters
+    assert counters["sim.events_scheduled"] == events
+    assert counters["sim.events_processed"] == events
