@@ -58,8 +58,9 @@ class RunOptions:
     reuse_traces: bool = True
     #: Persist generated input datasets as memory-mapped artifacts
     #: (:mod:`repro.workloads.datacache`) so capture/direct points skip
-    #: regeneration — value-identical, keyed on generator version and
-    #: parameters.  ``False`` regenerates every dataset from its seed.
+    #: regeneration — value-identical, keyed on the datacache and numpy
+    #: versions, the generator and its parameters.  ``False``
+    #: regenerates every dataset from its seed.
     dataset_cache: bool = True
     #: Trace-artifact directory (default ``<cache_dir>/traces``).
     trace_dir: str | Path | None = None

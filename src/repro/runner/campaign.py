@@ -135,10 +135,10 @@ def _execute_point(
     ``dataset_root`` activates the process-wide dataset artifact cache
     (:mod:`repro.workloads.datacache`) so capture/direct points load
     generated inputs from memory-mapped artifacts instead of
-    regenerating them — value-identical, keyed on generator version and
-    parameters.  Activation is idempotent per root, so a persistent
-    pool worker configures once and keeps its in-process load cache
-    warm across points.
+    regenerating them — value-identical, keyed on the datacache and
+    numpy versions, the generator and its parameters.  Activation is
+    idempotent per root, so a persistent pool worker configures once
+    and keeps datagen's in-process memo warm across points.
 
     With an observation directory, the worker builds its own
     :class:`repro.obs.Observer` and writes this point's artifacts as
@@ -343,7 +343,8 @@ def _close_resources(resources: dict) -> None:
     Module-level so ``weakref.finalize`` can invoke it after the runner
     is gone: the pool shuts down first (workers detach their mappings),
     then every published segment is unlinked — zero leaked ``/dev/shm``
-    entries even when ``close()`` was never called.
+    entries even when ``close()`` was never called — and the runner's
+    temporary directories are removed.
     """
     pool = resources.pop("pool", None)
     if pool is not None:
@@ -351,6 +352,9 @@ def _close_resources(resources: dict) -> None:
     shm_cache = resources.pop("shm", None)
     if shm_cache is not None:
         shm_cache.close()
+    # Last: with the pool gone, no worker writes to these any more.
+    for tmp in resources.pop("tmp", {}).values():
+        tmp.cleanup()
 
 
 class CampaignRunner:
@@ -360,8 +364,9 @@ class CampaignRunner:
     across waves and across :meth:`run` calls — replay-heavy campaigns
     stop paying process spawn + interpreter warmup per wave.  Call
     :meth:`close` (or use the runner as a context manager) to release
-    the pool and any shared-memory trace segments; a finalizer does the
-    same on garbage collection or interpreter exit.
+    the pool, any shared-memory trace segments and the temporary
+    directories the runner made; a finalizer does the same on garbage
+    collection or interpreter exit.
 
     Parameters
     ----------
@@ -392,9 +397,9 @@ class CampaignRunner:
         memory-mapped artifacts under ``dataset_dir`` (default
         ``<cache_dir>/datasets``, or a runner-scoped temporary
         directory without either) so capture and direct points skip
-        dataset regeneration — value-identical, keyed on generator
-        version and parameters.  ``False`` regenerates every dataset
-        from its seed.
+        dataset regeneration — value-identical, keyed on the datacache
+        and numpy versions, the generator and its parameters.
+        ``False`` regenerates every dataset from its seed.
     dataset_dir:
         Override for the dataset-artifact directory.
     trace_dir:
@@ -444,9 +449,10 @@ class CampaignRunner:
             raise ValueError("workers must be >= 0")
         self.workers = workers or 0
         #: Lazily-created persistent resources: "pool" (the process
-        #: pool) and "shm" (the shared-trace cache).  Held in a plain
-        #: dict so the exit finalizer can release them without keeping
-        #: the runner itself alive.
+        #: pool), "shm" (the shared-trace cache) and "tmp" (the
+        #: temporary directories below, by attribute name).  Held in a
+        #: plain dict so the exit finalizer can release them without
+        #: keeping the runner itself alive.
         self._resources: dict[str, t.Any] = {}
         self._closer = weakref.finalize(
             self, _close_resources, self._resources
@@ -458,7 +464,10 @@ class CampaignRunner:
             else:
                 self.cache.clear()
         self.progress = progress
-        self._trace_tmp: tempfile.TemporaryDirectory | None = None
+        #: Roots no directory was given for: attribute name -> prefix
+        #: of the temporary directory the runner makes for it (see
+        #: :meth:`_make_temp_roots`).
+        self._temp_roots: dict[str, str] = {}
         if not reuse_traces:
             self.trace_root: Path | None = None
         elif trace_dir is not None:
@@ -466,11 +475,7 @@ class CampaignRunner:
         elif cache_dir is not None:
             self.trace_root = Path(cache_dir) / "traces"
         else:
-            self._trace_tmp = tempfile.TemporaryDirectory(
-                prefix="repro-traces-"
-            )
-            self.trace_root = Path(self._trace_tmp.name)
-        self._dataset_tmp: tempfile.TemporaryDirectory | None = None
+            self._temp_roots["trace_root"] = "repro-traces-"
         if not dataset_cache:
             self.dataset_root: Path | None = None
         elif dataset_dir is not None:
@@ -478,12 +483,8 @@ class CampaignRunner:
         elif cache_dir is not None:
             self.dataset_root = Path(cache_dir) / "datasets"
         else:
-            self._dataset_tmp = tempfile.TemporaryDirectory(
-                prefix="repro-datasets-"
-            )
-            self.dataset_root = Path(self._dataset_tmp.name)
+            self._temp_roots["dataset_root"] = "repro-datasets-"
         self.obs = _coerce_obs_config(observe)
-        self._obs_tmp: tempfile.TemporaryDirectory | None = None
         if self.obs is None:
             self.obs_dir: Path | None = None
         elif self.obs.artifact_dir is not None:
@@ -491,8 +492,8 @@ class CampaignRunner:
         elif cache_dir is not None:
             self.obs_dir = Path(cache_dir) / "obs"
         else:
-            self._obs_tmp = tempfile.TemporaryDirectory(prefix="repro-obs-")
-            self.obs_dir = Path(self._obs_tmp.name)
+            self._temp_roots["obs_dir"] = "repro-obs-"
+        self._make_temp_roots()
 
     # ------------------------------------------------------------------ public
     def run(self, configs: t.Iterable[ExperimentConfig]) -> CampaignReport:
@@ -507,6 +508,7 @@ class CampaignRunner:
         ]
         report = CampaignReport(points=points)
         started = time.monotonic()
+        self._make_temp_roots()
 
         pending = self._resolve_cached(points)
         primaries, aliases = self._deduplicate(pending)
@@ -542,15 +544,27 @@ class CampaignRunner:
         return report
 
     def close(self) -> None:
-        """Release the persistent pool and unlink published segments.
+        """Release the persistent pool, unlink published segments and
+        remove the runner's temporary directories.
 
         Idempotent, and the runner stays usable — the pool and the
         shared-trace cache are recreated lazily on the next parallel
-        campaign.  ``run_campaign`` calls this automatically; long-lived
+        campaign, and the next :meth:`run` makes fresh temporary
+        directories (so traces and datasets kept there are made again).
+        ``run_campaign`` calls this automatically; long-lived
         runners (sessions, notebooks) should call it when done or use
         the runner as a context manager.
         """
         _close_resources(self._resources)
+
+    def _make_temp_roots(self) -> None:
+        """Give every root without a directory a fresh temporary one,
+        unless it still has the one made since the last :meth:`close`."""
+        owned = self._resources.setdefault("tmp", {})
+        for attr, prefix in self._temp_roots.items():
+            if attr not in owned:
+                owned[attr] = tempfile.TemporaryDirectory(prefix=prefix)
+                setattr(self, attr, Path(owned[attr].name))
 
     def __enter__(self) -> "CampaignRunner":
         return self

@@ -7,27 +7,31 @@ generation per behaviour class per worker, and every fresh benchmark
 pass pays it again.  This module gives datasets the same discipline
 :class:`~repro.trace.store.TraceStore` gives traces:
 
-- **Content-addressed artifacts** under ``<cache_dir>/datasets/``, one
-  file per ``(generator, canonical args, datagen version, numpy
-  version)`` key — workload, size profile and seed are all part of the
-  generator's argument tuple, so any config sharing a dataset resolves
-  to the same artifact.
-- **Columnar numpy payloads**: each generator's output is encoded by a
-  registered codec into flat numpy columns (token ids, CSR offsets,
-  ASCII blobs…) and decoded back to the *identical* Python structure —
-  integer and float64 columns round-trip exactly, strings are rebuilt
-  by the same formatting paths the generator used.
+- **Content-addressed artifacts** under the cache root, one file per
+  :func:`dataset_key`: the datacache version, the numpy version, the
+  generator's name and its bound parameters (defaults applied).
+  Workload, size profile and seed are all part of the generator's
+  arguments, so any config sharing a dataset resolves to the same
+  artifact.
+- **Columnar numpy payloads, one decode path**: every generator in
+  :mod:`repro.workloads.datagen` returns the flat numpy columns its
+  artifact stores (token ids, CSR offsets, ASCII blobs…), and
+  :func:`fetch` stores them as they are.  A registered codec's
+  ``decode`` is the only code that builds records: it runs on freshly
+  generated columns and on columns mapped from disk alike, so a cache
+  hit returns what generation returns by construction.  Integer and
+  float64 columns round-trip exactly; the generator parameters a
+  decoder needs (the codec's ``meta`` keys) travel in the header.
 - **Atomic, sha256-sealed writes**: payload is assembled in memory,
   written to a temp file and renamed into place; the header records the
   SHA-256 of the column region and loads verify it, so torn or
   corrupted files (and version-skewed ones) are misses, never wrong
   data.  Concurrent writers race harmlessly — both write identical
   bytes.
-- **Memory-mapped loads with an in-process LRU**: artifacts are mapped,
-  verified, and decoded from zero-copy views; the decoded dataset is
-  kept in a small stat+digest-keyed LRU so a process that re-prepares
-  the same dataset (tier sweeps, repeated campaign passes) decodes it
-  once.
+- **Memory-mapped loads**: artifacts are mapped, verified and decoded
+  from zero-copy views.  Nothing decoded is kept here: repeats within
+  one process are answered by ``datagen``'s memo before they reach
+  this module.
 
 Hit/miss/store counters feed ``repro.perf``'s ``datagen.cache`` target
 and the benchmark harness's second-pass hit assertion.
@@ -41,16 +45,15 @@ import mmap
 import os
 import tempfile
 import typing as t
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "DATACACHE_VERSION",
+    "Columns",
     "DatasetCache",
     "active",
-    "clear_load_cache",
     "configure",
     "deactivate",
     "fetch",
@@ -65,172 +68,99 @@ _MAGIC = b"RDSC"
 _SUFFIX = ".dataset.bin"
 _ALIGN = 64
 
-#: Decoded-dataset LRU: (path, size, mtime_ns, sha prefix) -> dataset.
-_LOAD_CACHE: "OrderedDict[tuple[str, int, int, str], list]" = OrderedDict()
-_LOAD_CACHE_LIMIT = 8
+#: A generated dataset as its artifact stores it: named numpy columns.
+Columns = dict[str, np.ndarray]
 
 #: Cumulative counters for perf attribution and benchmark assertions.
 _STATS = {"hits": 0, "misses": 0, "stores": 0, "memo_hits": 0}
 
 
 # ------------------------------------------------------------------- codecs --
+#: Builds a dataset's records from its columns and meta.
+_Decode = t.Callable[[Columns, dict], list]
+
+
 class _Codec(t.NamedTuple):
-    encode: t.Callable[[list, dict], tuple[dict[str, np.ndarray], dict]]
-    decode: t.Callable[[dict[str, np.ndarray], dict], list]
+    decode: _Decode
+    #: Generator parameters ``decode`` reads, stored as the meta.
+    meta_keys: tuple[str, ...]
+
+    def meta(self, params: dict) -> dict:
+        return {key: params[key] for key in self.meta_keys}
 
 
 _CODECS: dict[str, _Codec] = {}
 
 
-def _codec(name: str) -> t.Callable[[type], type]:
-    def register(cls: type) -> type:
-        _CODECS[name] = _Codec(cls.encode, cls.decode)
-        return cls
+def _codec(name: str, *meta_keys: str) -> t.Callable[[_Decode], _Decode]:
+    def register(decode: _Decode) -> _Decode:
+        _CODECS[name] = _Codec(decode, meta_keys)
+        return decode
 
     return register
 
 
-@_codec("random_text_records")
-class _TextRecords:
-    @staticmethod
-    def encode(value: list, params: dict) -> tuple[dict[str, np.ndarray], dict]:
-        blob = np.frombuffer("".join(value).encode("ascii"), dtype=np.uint8)
-        return {"blob": blob}, {"record_len": params["record_len"]}
-
-    @staticmethod
-    def decode(columns: dict[str, np.ndarray], meta: dict) -> list:
-        record_len = meta["record_len"]
-        text = columns["blob"].tobytes().decode("ascii")
-        return [
-            text[start : start + record_len]
-            for start in range(0, len(text), record_len)
-        ]
+@_codec("random_text_records", "record_len")
+def _text_records(columns: Columns, meta: dict) -> list:
+    record_len = meta["record_len"]
+    text = columns["blob"].tobytes().decode("ascii")
+    return [
+        text[start : start + record_len]
+        for start in range(0, len(text), record_len)
+    ]
 
 
-@_codec("zipf_words")
-class _ZipfWords:
-    @staticmethod
-    def encode(value: list, params: dict) -> tuple[dict[str, np.ndarray], dict]:
-        # Words are "word<rank>"; storing ranks keeps the artifact
-        # numeric and the decode path identical to the generator's own
-        # name-table lookup.
-        ranks = np.asarray([int(word[4:]) for word in value], dtype=np.int64)
-        return {"ranks": ranks}, {"vocabulary": params["vocabulary"]}
-
-    @staticmethod
-    def decode(columns: dict[str, np.ndarray], meta: dict) -> list:
-        names = [f"word{rank}" for rank in range(1, meta["vocabulary"] + 1)]
-        return [names[rank - 1] for rank in columns["ranks"].tolist()]
+@_codec("zipf_words", "vocabulary")
+def _zipf_words(columns: Columns, meta: dict) -> list:
+    names = [f"word{rank}" for rank in range(1, meta["vocabulary"] + 1)]
+    return [names[rank - 1] for rank in columns["ranks"].tolist()]
 
 
 @_codec("rating_triples")
-class _RatingTriples:
-    @staticmethod
-    def encode(value: list, params: dict) -> tuple[dict[str, np.ndarray], dict]:
-        users, products, ratings = zip(*value) if value else ((), (), ())
-        return {
-            "users": np.asarray(users, dtype=np.int64),
-            "products": np.asarray(products, dtype=np.int64),
-            "ratings": np.asarray(ratings, dtype=np.float64),
-        }, {}
-
-    @staticmethod
-    def decode(columns: dict[str, np.ndarray], meta: dict) -> list:
-        return list(
-            zip(
-                columns["users"].tolist(),
-                columns["products"].tolist(),
-                columns["ratings"].tolist(),
-            )
+def _rating_triples(columns: Columns, meta: dict) -> list:
+    return list(
+        zip(
+            columns["users"].tolist(),
+            columns["products"].tolist(),
+            columns["ratings"].tolist(),
         )
+    )
 
 
-@_codec("labeled_documents")
-class _LabeledDocuments:
-    @staticmethod
-    def encode(value: list, params: dict) -> tuple[dict[str, np.ndarray], dict]:
-        labels = np.asarray([label for label, _ in value], dtype=np.int64)
-        # words_per_doc is constant per profile → rectangular id matrix.
-        ids = np.asarray(
-            [[int(w[1:]) for w in words] for _, words in value], dtype=np.int64
-        )
-        return {"labels": labels, "word_ids": ids}, {
-            "vocabulary": params["vocabulary"]
-        }
-
-    @staticmethod
-    def decode(columns: dict[str, np.ndarray], meta: dict) -> list:
-        # Gather the interned name strings in C: fancy-indexing an
-        # object array emits the same str objects per id as the
-        # per-element lookup did, row by row.
-        names = np.array(
-            [f"w{word}" for word in range(meta["vocabulary"])], dtype=object
-        )
-        labels = columns["labels"].tolist()
-        return [
-            (label, row)
-            for label, row in zip(labels, names[columns["word_ids"]].tolist())
-        ]
+@_codec("labeled_documents", "vocabulary")
+def _labeled_documents(columns: Columns, meta: dict) -> list:
+    # Gather the interned name strings in C: fancy-indexing an object
+    # array emits the same str objects per id as a per-element lookup,
+    # row by row.
+    names = np.array(
+        [f"w{word}" for word in range(meta["vocabulary"])], dtype=object
+    )
+    labels = columns["labels"].tolist()
+    return list(zip(labels, names[columns["word_ids"]].tolist()))
 
 
 @_codec("labeled_vectors")
-class _LabeledVectors:
-    @staticmethod
-    def encode(value: list, params: dict) -> tuple[dict[str, np.ndarray], dict]:
-        labels = np.asarray([label for label, _ in value], dtype=np.int64)
-        points = (
-            np.stack([x for _, x in value])
-            if value
-            else np.zeros((0, 0), dtype=np.float64)
-        )
-        return {"labels": labels, "points": points.astype(np.float64)}, {}
-
-    @staticmethod
-    def decode(columns: dict[str, np.ndarray], meta: dict) -> list:
-        # Copy out of the mapping: callers receive writable row views of
-        # one contiguous matrix, exactly like the generator returns.
-        points = np.array(columns["points"], dtype=np.float64)
-        return [
-            (int(label), x)
-            for label, x in zip(columns["labels"].tolist(), points)
-        ]
+def _labeled_vectors(columns: Columns, meta: dict) -> list:
+    # Copy out of the mapping: callers receive writable row views of
+    # one contiguous matrix.
+    points = np.array(columns["points"], dtype=np.float64)
+    return list(zip(columns["labels"].tolist(), points))
 
 
 @_codec("bag_of_words_docs")
-class _BagOfWords:
-    @staticmethod
-    def encode(value: list, params: dict) -> tuple[dict[str, np.ndarray], dict]:
-        return {"word_ids": np.asarray(value, dtype=np.int64)}, {}
-
-    @staticmethod
-    def decode(columns: dict[str, np.ndarray], meta: dict) -> list:
-        return columns["word_ids"].tolist()
+def _bag_of_words(columns: Columns, meta: dict) -> list:
+    return columns["word_ids"].tolist()
 
 
 @_codec("web_graph")
-class _WebGraph:
-    @staticmethod
-    def encode(value: list, params: dict) -> tuple[dict[str, np.ndarray], dict]:
-        # Ragged adjacency → CSR (page ids are dense 0..n-1 by
-        # construction, so only offsets + flat targets are stored).
-        offsets = np.zeros(len(value) + 1, dtype=np.int64)
-        flat: list[int] = []
-        for i, (_page, links) in enumerate(value):
-            flat.extend(links)
-            offsets[i + 1] = len(flat)
-        return {
-            "offsets": offsets,
-            "targets": np.asarray(flat, dtype=np.int64),
-        }, {}
-
-    @staticmethod
-    def decode(columns: dict[str, np.ndarray], meta: dict) -> list:
-        offsets = columns["offsets"].tolist()
-        targets = columns["targets"].tolist()
-        return [
-            (page, targets[offsets[page] : offsets[page + 1]])
-            for page in range(len(offsets) - 1)
-        ]
+def _web_graph(columns: Columns, meta: dict) -> list:
+    # CSR: page ids are dense 0..n-1, so only offsets + targets exist.
+    offsets = columns["offsets"].tolist()
+    targets = columns["targets"].tolist()
+    return [
+        (page, targets[offsets[page] : offsets[page + 1]])
+        for page in range(len(offsets) - 1)
+    ]
 
 
 # -------------------------------------------------------------------- store --
@@ -270,17 +200,18 @@ class DatasetCache:
         )
 
     # ---------------------------------------------------------------- write --
-    def store(self, name: str, params: dict, value: list) -> Path | None:
-        """Encode and atomically persist one dataset; None if no codec."""
+    def store(self, name: str, params: dict, columns: Columns) -> Path | None:
+        """Atomically persist one dataset's columns; None if no codec."""
         codec = _CODECS.get(name)
         if codec is None:
             return None
-        columns, meta = codec.encode(value, params)
+        ordered = [
+            (col_name, np.ascontiguousarray(arr))
+            for col_name, arr in sorted(columns.items())
+        ]
         table = []
         offset = 0
-        ordered = sorted(columns.items())
         for col_name, arr in ordered:
-            arr = np.ascontiguousarray(arr)
             offset = (offset + _ALIGN - 1) & ~(_ALIGN - 1)
             table.append(
                 {
@@ -293,16 +224,15 @@ class DatasetCache:
             offset += arr.nbytes
         payload = bytearray(offset)
         for entry, (_, arr) in zip(table, ordered):
-            arr = np.ascontiguousarray(arr)
             start = entry["offset"]
             payload[start : start + arr.nbytes] = arr.tobytes()
         header = json.dumps(
             {
                 "version": DATACACHE_VERSION,
                 "generator": name,
-                "meta": meta,
+                "meta": codec.meta(params),
                 "columns": table,
-                "payload_sha256": hashlib.sha256(bytes(payload)).hexdigest(),
+                "payload_sha256": hashlib.sha256(payload).hexdigest(),
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -318,7 +248,7 @@ class DatasetCache:
                 handle.write(header)
                 data_start = _aligned_data_start(len(header))
                 handle.write(b"\0" * (data_start - 12 - len(header)))
-                handle.write(bytes(payload))
+                handle.write(payload)
             os.replace(tmp_name, target)
         except BaseException:
             try:
@@ -340,56 +270,38 @@ class DatasetCache:
         codec = _CODECS.get(name)
         if codec is None:
             return None
-        path = self.path_for(name, params)
         try:
-            stat = path.stat()
-            handle = open(path, "rb")
-        except OSError:
-            return None
-        try:
-            with handle:
+            with open(self.path_for(name, params), "rb") as handle:
                 mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
                 try:
-                    dataset, digest = self._decode(mapped, name, codec)
+                    return self._decode(mapped, name, codec)
                 finally:
                     mapped.close()
         except (OSError, ValueError):
             return None
-        if dataset is None:
-            return None
-        cache_key = (str(path), stat.st_size, stat.st_mtime_ns, digest)
-        cached = _LOAD_CACHE.get(cache_key)
-        if cached is not None:
-            _LOAD_CACHE.move_to_end(cache_key)
-            return cached
-        _LOAD_CACHE[cache_key] = dataset
-        while len(_LOAD_CACHE) > _LOAD_CACHE_LIMIT:
-            _LOAD_CACHE.popitem(last=False)
-        return dataset
 
     def _decode(
         self, mapped: mmap.mmap, name: str, codec: _Codec
-    ) -> tuple[list | None, str]:
+    ) -> list | None:
         if len(mapped) < 12 or mapped[:4] != _MAGIC:
-            return None, ""
+            return None
         header_len = int.from_bytes(mapped[4:12], "little")
         if len(mapped) < 12 + header_len:
-            return None, ""
+            return None
         try:
             header = json.loads(mapped[12 : 12 + header_len].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
-            return None, ""
+            return None
         if (
             header.get("version") != DATACACHE_VERSION
             or header.get("generator") != name
         ):
-            return None, ""
+            return None
         data_start = _aligned_data_start(header_len)
         view = memoryview(mapped)[data_start:]
-        digest = hashlib.sha256(view).hexdigest()
-        if digest != header.get("payload_sha256"):
-            return None, ""
-        columns: dict[str, np.ndarray] = {}
+        if hashlib.sha256(view).hexdigest() != header.get("payload_sha256"):
+            return None
+        columns: Columns = {}
         for entry in header["columns"]:
             dtype = np.dtype(entry["dtype"])
             shape = tuple(entry["shape"])
@@ -399,9 +311,9 @@ class DatasetCache:
             ).reshape(shape)
             columns[entry["name"]] = arr
         try:
-            return codec.decode(columns, header.get("meta", {})), digest[:16]
+            return codec.decode(columns, header.get("meta", {}))
         except Exception:  # noqa: BLE001 - undecodable artifact == miss
-            return None, ""
+            return None
 
 
 def _aligned_data_start(header_len: int) -> int:
@@ -427,11 +339,6 @@ def active() -> DatasetCache | None:
     return _ACTIVE
 
 
-def clear_load_cache() -> None:
-    """Drop decoded datasets (forces disk decode on next fetch)."""
-    _LOAD_CACHE.clear()
-
-
 def stats() -> dict[str, int]:
     """Cumulative fetch counters (hits/misses/stores/memo_hits)."""
     return dict(_STATS)
@@ -450,26 +357,29 @@ def note_memo_hit() -> None:
 def fetch(
     name: str,
     params: dict,
-    generate: t.Callable[[], list],
+    generate: t.Callable[[], Columns],
 ) -> list:
-    """Dataset for ``(name, params)`` — from the artifact cache if possible.
+    """Records of the dataset ``(name, params)``.
 
-    Misses (no active cache, no codec, corrupt/stale artifact) fall
-    back to ``generate()`` and, when a cache is active, persist the
-    fresh dataset for the next process/pass.
+    Loaded from the active artifact cache if possible.  A miss (no
+    active cache, or a missing, corrupt or stale artifact) runs
+    ``generate()`` for the dataset's columns, stores them as they are
+    when a cache is active, and builds the records with the codec's
+    ``decode``, the function a hit runs.
     """
     cache = _ACTIVE
-    if cache is None:
-        return generate()
-    hit = cache.load(name, params)
-    if hit is not None:
-        _STATS["hits"] += 1
-        return hit
-    _STATS["misses"] += 1
-    value = generate()
-    try:
-        cache.store(name, params, value)
-    except OSError:
-        # A read-only or full cache directory must not fail generation.
-        pass
-    return value
+    if cache is not None:
+        hit = cache.load(name, params)
+        if hit is not None:
+            _STATS["hits"] += 1
+            return hit
+        _STATS["misses"] += 1
+    columns = generate()
+    if cache is not None:
+        try:
+            cache.store(name, params, columns)
+        except OSError:
+            # A read-only or full cache directory must not fail generation.
+            pass
+    codec = _CODECS[name]
+    return codec.decode(columns, codec.meta(params))

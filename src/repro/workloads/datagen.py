@@ -1,22 +1,40 @@
 """Seeded synthetic data generators (the HiBench ``prepare`` phase).
 
 All generators are deterministic given their seed, so experiment sweeps
-compare configurations on identical inputs.  Two engine-level speedups
-live here, both value-identical by construction:
+compare configurations on identical inputs.
+
+Each generator draws the numpy columns its dataset artifact stores
+(token ids, CSR offsets, an ASCII blob…) and never builds a record
+itself.  The memo wrapper hands those columns to
+:func:`repro.workloads.datacache.fetch`, which stores them as they are
+when a dataset cache is active and builds the records with the
+artifact codec's ``decode``, the same function that serves a cache hit.
+Callers always receive records, and fresh and cached datasets share one
+decode path.  Two engine-level speedups live here, both
+value-identical by construction:
 
 * **Memoization** — results are cached per ``(generator, args)``.  A
   tier sweep re-prepares the same seeded dataset once per tier; the
   cache collapses that to one generation (generators are pure functions
   of their arguments).  Callers get a fresh top-level list each time;
   record objects are shared and treated as immutable by the workloads.
-* **Batched drawing** — the per-record Python loops (``str.join`` per
-  record, one ``Generator.choice`` call per token) are replaced with
-  vectorized paths that consume the *same* RNG stream and produce the
-  *same* values.  ``Generator.choice(n, p=p)`` is replicated exactly by
+  The memo is what answers every repeat within a process; the artifact
+  cache only serves its misses.
+* **Batched drawing** — each column is drawn in as few RNG calls as the
+  stream allows, consuming the *same* stream and producing the *same*
+  values as the per-record loops it replaced, which are kept as
+  ``_naive_*`` so property tests can assert equality.
+  ``Generator.zipf`` draws its values one after another, so one
+  ``rng.zipf(a, size=(n_docs, words_per_doc))`` call equals ``n_docs``
+  calls with ``size=words_per_doc``, row by row.
+  ``Generator.choice(n, p=p)`` is replicated exactly by
   ``cdf.searchsorted(rng.random(...), side="right")`` on the normalized
   cumulative distribution — that is choice's own sampling rule, minus
-  its per-call validation overhead.  The original per-record versions
-  are kept as ``_naive_*`` so property tests can assert equality.
+  its per-call validation overhead — so one ``rng.random`` call draws
+  the uniforms of a document's per-token word choices, searched per
+  topic afterwards.  Draws between which the stream serves another
+  distribution (``web_graph``'s Poisson degrees, ``bag_of_words_docs``'s
+  per-document Dirichlet) stay in a per-record loop.
 """
 
 from __future__ import annotations
@@ -35,32 +53,35 @@ _ALPHABET_BYTES = np.frombuffer(
     (string.ascii_lowercase + string.digits).encode("ascii"), dtype=np.uint8
 )
 
-#: Memoized generator results keyed by (generator name, args, kwargs).
+#: Characters ``random_text_records`` draws per ``integers`` call.
+_TEXT_BLOCK_CHARS = 1 << 15
+
+#: Memoized datasets (records) keyed by (generator name, args, kwargs).
 _CACHE: dict[tuple, list] = {}
 
 
 def clear_cache() -> None:
     """Drop all memoized datasets (tests; bounding long-lived processes).
 
-    Also drops the dataset artifact cache's decoded-object LRU so the
-    next generation goes back to disk (or the generator) — on-disk
-    artifacts themselves survive, which is their entire point.
+    The next request goes back to the dataset artifact cache (or the
+    generator); on-disk artifacts survive, which is their entire point.
     """
     _CACHE.clear()
-    datacache.clear_load_cache()
 
 
-def _memoized(func: t.Callable[..., list]) -> t.Callable[..., list]:
-    """Cache ``func`` per exact argument tuple, returning list copies.
+def _memoized(
+    func: t.Callable[..., datacache.Columns]
+) -> t.Callable[..., list]:
+    """Cache the records of ``func``'s columns per exact argument tuple.
 
-    The shallow copy keeps callers free to slice/extend their list
-    without corrupting the cache; records themselves are shared.
+    Returns list copies: the shallow copy keeps callers free to
+    slice/extend their list without corrupting the cache; records
+    themselves are shared.
 
-    A miss consults the dataset artifact cache
-    (:mod:`repro.workloads.datacache`) before running the generator:
-    when a campaign configures one, generation happens once per machine
-    instead of once per process, and decoded artifacts are verified
-    value-identical by the codec round-trip property tests.
+    A miss goes through :func:`repro.workloads.datacache.fetch`, which
+    loads the dataset's artifact when a campaign configured a cache
+    (generation then happens once per machine instead of once per
+    process) and otherwise runs ``func`` and decodes its columns.
     """
     name = func.__name__
     signature = inspect.signature(func)
@@ -105,19 +126,27 @@ def _choice_exact(
 @_memoized
 def random_text_records(
     n: int, record_len: int = 80, seed: int = 11
-) -> list[str]:
-    """Uniform random fixed-length text records (teragen-like)."""
+) -> datacache.Columns:
+    """Uniform random fixed-length text records (teragen-like).
+
+    Column ``blob``: the records' ASCII bytes, back to back.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
+    if record_len < 1:
+        raise ValueError("record_len must be >= 1")
     rng = np.random.default_rng(seed)
-    chars = rng.integers(0, len(_ALPHABET), size=(n, record_len))
-    # One ASCII blob, sliced per record: same strings as joining each
-    # row, without n str.join calls.
-    text = _ALPHABET_BYTES[chars].tobytes().decode("ascii")
-    return [
-        text[start : start + record_len]
-        for start in range(0, n * record_len, record_len)
-    ]
+    blob = np.empty((n, record_len), dtype=np.uint8)
+    # A 36-value range takes numpy's 32-bit bounded path, which keeps
+    # its spare half-word in the bit generator, so blocks of rows draw
+    # the values of one (n, record_len) call without its int64 array
+    # (8 bytes a character, the prepare phase's largest allocation).
+    step = max(1, _TEXT_BLOCK_CHARS // record_len)
+    for start in range(0, n, step):
+        rows = min(step, n - start)
+        chars = rng.integers(0, len(_ALPHABET), size=(rows, record_len))
+        blob[start : start + rows] = _ALPHABET_BYTES[chars]
+    return {"blob": blob.ravel()}
 
 
 def _naive_random_text_records(
@@ -134,16 +163,16 @@ def _naive_random_text_records(
 @_memoized
 def zipf_words(
     n: int, vocabulary: int = 1000, exponent: float = 1.3, seed: int = 13
-) -> list[str]:
-    """Zipf-distributed word stream (wordcount/bayes-style text)."""
+) -> datacache.Columns:
+    """Zipf-distributed word stream (wordcount/bayes-style text).
+
+    Column ``ranks``: each word's rank ``r``, capped at ``vocabulary``;
+    the word is ``f"word{r}"``.
+    """
     if vocabulary < 1:
         raise ValueError("vocabulary must be >= 1")
     rng = np.random.default_rng(seed)
-    ranks = rng.zipf(exponent, size=n)
-    ranks = np.minimum(ranks, vocabulary)
-    # Interned name table instead of n f-string formats.
-    names = [f"word{rank}" for rank in range(1, vocabulary + 1)]
-    return [names[rank - 1] for rank in ranks.tolist()]
+    return {"ranks": np.minimum(rng.zipf(exponent, size=n), vocabulary)}
 
 
 def _naive_zipf_words(
@@ -161,8 +190,12 @@ def _naive_zipf_words(
 @_memoized
 def rating_triples(
     n_users: int, n_products: int, n_ratings: int, seed: int = 17
-) -> list[tuple[int, int, float]]:
-    """(user, product, rating) triples for ALS."""
+) -> datacache.Columns:
+    """(user, product, rating) triples for ALS.
+
+    Columns ``users``, ``products`` and ``ratings``, one entry per
+    triple.
+    """
     rng = np.random.default_rng(seed)
     users = rng.integers(0, n_users, size=n_ratings)
     products = rng.integers(0, n_products, size=n_ratings)
@@ -173,7 +206,7 @@ def rating_triples(
     noise = rng.normal(scale=0.1, size=n_ratings)
     ratings = np.einsum("ij,ij->i", u_factors[users], p_factors[products]) + noise
     ratings = np.clip(2.5 + ratings, 1.0, 5.0)
-    return list(zip(users.tolist(), products.tolist(), ratings.tolist()))
+    return {"users": users, "products": products, "ratings": ratings}
 
 
 @_memoized
@@ -183,10 +216,32 @@ def labeled_documents(
     vocabulary: int = 500,
     words_per_doc: int = 30,
     seed: int = 19,
-) -> list[tuple[int, list[str]]]:
-    """(label, words) documents with class-dependent word distributions."""
+) -> datacache.Columns:
+    """(label, words) documents with class-dependent word distributions.
+
+    Columns ``labels`` and ``word_ids`` (one row per document); word
+    ``i`` is ``f"w{i}"``.
+    """
     rng = np.random.default_rng(seed)
+    labels = rng.integers(0, n_classes, size=n_docs)
     # Each class prefers a slice of the vocabulary.
+    base = labels * vocabulary // max(1, n_classes)
+    offsets = rng.zipf(1.4, size=(n_docs, words_per_doc))
+    word_ids = (
+        base[:, None] + np.minimum(offsets, vocabulary // 2)
+    ) % vocabulary
+    return {"labels": labels, "word_ids": word_ids}
+
+
+def _naive_labeled_documents(
+    n_docs: int,
+    n_classes: int,
+    vocabulary: int = 500,
+    words_per_doc: int = 30,
+    seed: int = 19,
+) -> list[tuple[int, list[str]]]:
+    """Pre-optimization reference implementation (property tests)."""
+    rng = np.random.default_rng(seed)
     docs: list[tuple[int, list[str]]] = []
     labels = rng.integers(0, n_classes, size=n_docs)
     names = [f"w{word}" for word in range(vocabulary)]
@@ -201,13 +256,16 @@ def labeled_documents(
 @_memoized
 def labeled_vectors(
     n_examples: int, n_features: int, n_classes: int = 2, seed: int = 23
-) -> list[tuple[int, np.ndarray]]:
-    """(label, feature-vector) examples with separable class means."""
+) -> datacache.Columns:
+    """(label, feature-vector) examples with separable class means.
+
+    Columns ``labels`` and ``points`` (one row per example).
+    """
     rng = np.random.default_rng(seed)
     means = rng.normal(scale=2.0, size=(n_classes, n_features))
     labels = rng.integers(0, n_classes, size=n_examples)
     points = means[labels] + rng.normal(size=(n_examples, n_features))
-    return [(int(y), x) for y, x in zip(labels, points.astype(np.float64))]
+    return {"labels": labels, "points": points}
 
 
 @_memoized
@@ -217,26 +275,31 @@ def bag_of_words_docs(
     n_topics: int,
     words_per_doc: int = 40,
     seed: int = 29,
-) -> list[list[int]]:
-    """Token-id documents drawn from a topic mixture (LDA input)."""
+) -> datacache.Columns:
+    """Token-id documents drawn from a topic mixture (LDA input).
+
+    Column ``word_ids``: one row of token ids per document.
+    """
     rng = np.random.default_rng(seed)
     # Topic-word distributions concentrated on vocabulary slices.
-    topic_words = []
+    topic_cdfs = []
     per_topic = max(1, vocabulary // max(1, n_topics))
     for k in range(n_topics):
         weights = np.full(vocabulary, 0.1)
         weights[k * per_topic : (k + 1) * per_topic] += 5.0
-        topic_words.append(weights / weights.sum())
-    topic_cdfs = [_normalized_cdf(p) for p in topic_words]
-    docs: list[list[int]] = []
-    for _ in range(n_docs):
+        topic_cdfs.append(_normalized_cdf(weights / weights.sum()))
+    topics = np.empty((n_docs, words_per_doc), dtype=np.intp)
+    uniforms = np.empty((n_docs, words_per_doc))
+    for doc in range(n_docs):
         theta = rng.dirichlet(np.full(n_topics, 0.3))
-        topics = _choice_exact(rng, _normalized_cdf(theta), words_per_doc)
-        words = [
-            int(_choice_exact(rng, topic_cdfs[k])) for k in topics
-        ]
-        docs.append(words)
-    return docs
+        topics[doc] = _choice_exact(rng, _normalized_cdf(theta), words_per_doc)
+        # The uniforms of the document's per-token word draws, in order.
+        uniforms[doc] = rng.random(words_per_doc)
+    word_ids = np.empty((n_docs, words_per_doc), dtype=np.int64)
+    for k, cdf in enumerate(topic_cdfs):
+        drawn = topics == k
+        word_ids[drawn] = cdf.searchsorted(uniforms[drawn], side="right")
+    return {"word_ids": word_ids}
 
 
 def _naive_bag_of_words_docs(
@@ -268,8 +331,12 @@ def _naive_bag_of_words_docs(
 @_memoized
 def web_graph(
     n_pages: int, out_degree: int = 6, seed: int = 31
-) -> list[tuple[int, list[int]]]:
-    """(page, outlinks) adjacency with preferential attachment skew."""
+) -> datacache.Columns:
+    """(page, outlinks) adjacency with preferential attachment skew.
+
+    CSR columns: page ``p``'s sorted outlinks are
+    ``targets[offsets[p]:offsets[p + 1]]``.
+    """
     if n_pages < 1:
         raise ValueError("n_pages must be >= 1")
     rng = np.random.default_rng(seed)
@@ -277,15 +344,18 @@ def web_graph(
     popularity = 1.0 / np.arange(1, n_pages + 1) ** 0.8
     popularity /= popularity.sum()
     popularity_cdf = _normalized_cdf(popularity)
-    adjacency: list[tuple[int, list[int]]] = []
+    offsets = [0]
+    targets: list[int] = []
     for page in range(n_pages):
         degree = max(1, int(rng.poisson(out_degree)))
-        targets = _choice_exact(rng, popularity_cdf, min(degree, n_pages))
-        links = sorted({int(x) for x in targets if int(x) != page})
-        if not links:
-            links = [(page + 1) % n_pages]
-        adjacency.append((page, links))
-    return adjacency
+        drawn = _choice_exact(rng, popularity_cdf, min(degree, n_pages))
+        links = sorted(set(drawn.tolist()) - {page})
+        targets.extend(links or [(page + 1) % n_pages])
+        offsets.append(len(targets))
+    return {
+        "offsets": np.asarray(offsets, dtype=np.int64),
+        "targets": np.asarray(targets, dtype=np.int64),
+    }
 
 
 def _naive_web_graph(

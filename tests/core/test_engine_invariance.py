@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.experiment import ExperimentConfig, run_experiment
@@ -343,6 +343,27 @@ def test_bag_of_words_matches_naive(n_docs, vocabulary, n_topics, seed):
         n_docs, vocabulary, n_topics, words_per_doc=12, seed=seed
     ) == datagen._naive_bag_of_words_docs(
         n_docs, vocabulary, n_topics, words_per_doc=12, seed=seed
+    )
+
+
+@given(
+    n_docs=st.integers(0, 12),
+    n_classes=st.integers(1, 6),
+    vocabulary=st.integers(1, 60),
+    words_per_doc=st.integers(0, 40),
+    seed=st.integers(0, 99),
+)
+@example(n_docs=0, n_classes=3, vocabulary=40, words_per_doc=8, seed=0)
+@example(n_docs=7, n_classes=2, vocabulary=1, words_per_doc=5, seed=1)
+@SETTINGS
+def test_labeled_documents_matches_naive(
+    n_docs, n_classes, vocabulary, words_per_doc, seed
+):
+    datagen.clear_cache()
+    assert datagen.labeled_documents(
+        n_docs, n_classes, vocabulary, words_per_doc, seed=seed
+    ) == datagen._naive_labeled_documents(
+        n_docs, n_classes, vocabulary, words_per_doc, seed=seed
     )
 
 

@@ -192,6 +192,38 @@ def test_invalid_worker_count_rejected():
         CampaignRunner(workers=-1)
 
 
+# ---------------------------------------------------------------- lifecycle
+def test_close_removes_the_runners_temporary_directories():
+    """A runner given no directories makes temporary ones; ``close()``
+    removes them (not the collector, with a ``ResourceWarning``), and a
+    closed runner runs again in fresh ones."""
+    import gc
+    import warnings
+
+    points = FIG4_GRID[:2]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        runner = CampaignRunner(workers=0, observe=True)
+        roots = [runner.trace_root, runner.dataset_root, runner.obs_dir]
+        assert all(root.is_dir() for root in roots)
+        first = runner.run(points)
+        runner.close()
+        assert not any(root.exists() for root in roots)
+        second = runner.run(points)
+        fresh = [runner.trace_root, runner.dataset_root, runner.obs_dir]
+        assert all(root.is_dir() for root in fresh)
+        assert set(fresh).isdisjoint(roots)
+        runner.close()
+        assert not any(root.exists() for root in fresh)
+        del runner
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not first.failures and not second.failures
+    assert [r.execution_time for r in second.results] == [
+        r.execution_time for r in first.results
+    ]
+
+
 # ------------------------------------------------------------ observability
 def test_campaign_writes_per_point_and_merged_artifacts(tmp_path):
     import json

@@ -1,24 +1,26 @@
-"""Dataset artifact cache: codec round trips, corruption tolerance,
-LRU eviction, concurrent writers, and the headline property — a capture
-served from cached dataset artifacts is bit-identical to one that
-regenerated every dataset from its seed."""
+"""Dataset artifact cache: codec round trips, artifact bytes equal to
+the per-record encoding they replaced, corruption tolerance, concurrent
+writers, and the headline property — a capture served from cached
+dataset artifacts is bit-identical to one that regenerated every
+dataset from its seed."""
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.resultstore import result_to_dict
 from repro.core.experiment import ExperimentConfig
 from repro.trace import capture_experiment
 from repro.workloads import datacache, datagen
+from repro.workloads.base import SIZE_ORDER
 from repro.workloads.datacache import DatasetCache, dataset_key
+from repro.workloads.registry import get_workload
 
 #: One small parameter set per registered codec.
 GENERATOR_PARAMS = [
@@ -38,9 +40,39 @@ GENERATOR_PARAMS = [
 ]
 
 
-def generate(name: str, params: dict) -> list:
+#: The six bayes/lda Fig. 2 parameter sets, as those workloads' prepare
+#: phases request them: bulk Zipf and per-topic draws at full size.
+FIG2_TEXT_PARAMS = [
+    (
+        "labeled_documents",
+        dict(
+            n_docs=p["docs"], n_classes=p["classes"],
+            vocabulary=p["vocabulary"], words_per_doc=p["words_per_doc"],
+            seed=19,
+        ),
+    )
+    for p in (get_workload("bayes").profile(s).params for s in SIZE_ORDER)
+] + [
+    (
+        "bag_of_words_docs",
+        dict(
+            n_docs=p["docs"], vocabulary=p["vocabulary"],
+            n_topics=p["topics"], words_per_doc=p["words_per_doc"], seed=29,
+        ),
+    )
+    for p in (get_workload("lda").profile(s).params for s in SIZE_ORDER)
+]
+
+
+def columns(name: str, params: dict) -> dict:
     """Run the raw generator (bypassing the in-process memo)."""
     return getattr(datagen, name).__wrapped__(**params)
+
+
+def records(name: str, params: dict) -> list:
+    """The records the codec builds from freshly generated columns."""
+    codec = datacache._CODECS[name]
+    return codec.decode(columns(name, params), codec.meta(params))
 
 
 def assert_same_dataset(a: list, b: list) -> None:
@@ -55,7 +87,7 @@ def assert_same_dataset(a: list, b: list) -> None:
 
 @pytest.fixture(autouse=True)
 def _isolated_cache():
-    """No test leaks an active cache, decoded LRU entries or stats."""
+    """No test leaks an active cache, memoized datasets or stats."""
     previous = datacache.active()
     datagen.clear_cache()
     datacache.reset_stats()
@@ -70,26 +102,133 @@ def _isolated_cache():
 @pytest.mark.parametrize("name,params", GENERATOR_PARAMS)
 def test_store_load_roundtrip_is_value_identical(tmp_path, name, params):
     cache = DatasetCache(tmp_path)
-    value = generate(name, params)
-    path = cache.store(name, params, value)
+    path = cache.store(name, params, columns(name, params))
     assert path is not None and path.exists()
-    datacache.clear_load_cache()  # force the disk decode path
     loaded = cache.load(name, params)
     assert loaded is not None
-    assert_same_dataset(loaded, value)
+    assert_same_dataset(loaded, records(name, params))
 
 
 def test_unknown_generator_has_no_codec(tmp_path):
     cache = DatasetCache(tmp_path)
-    assert cache.store("not_a_generator", {}, [1, 2]) is None
+    assert cache.store("not_a_generator", {}, {"x": np.arange(2)}) is None
     assert cache.load("not_a_generator", {}) is None
 
 
 def test_keys_lists_stored_artifacts(tmp_path):
     cache = DatasetCache(tmp_path)
     name, params = GENERATOR_PARAMS[0]
-    cache.store(name, params, generate(name, params))
+    cache.store(name, params, columns(name, params))
     assert cache.keys() == [dataset_key(name, params)]
+
+
+# ---------------------------------------------------------- artifact bytes
+
+def _encode_labeled_pairs(value: list) -> np.ndarray:
+    return np.asarray([label for label, _ in value], dtype=np.int64)
+
+
+def _encode_web_graph(value: list) -> dict:
+    offsets = np.zeros(len(value) + 1, dtype=np.int64)
+    flat: list[int] = []
+    for i, (_page, links) in enumerate(value):
+        flat.extend(links)
+        offsets[i + 1] = len(flat)
+    return {"offsets": offsets, "targets": np.asarray(flat, dtype=np.int64)}
+
+
+#: The per-record encoders artifacts were written through before
+#: generators returned their columns: records -> (columns, meta).
+REFERENCE_ENCODE = {
+    "random_text_records": lambda value, params: (
+        {"blob": np.frombuffer("".join(value).encode("ascii"), np.uint8)},
+        {"record_len": params["record_len"]},
+    ),
+    "zipf_words": lambda value, params: (
+        {"ranks": np.asarray([int(w[4:]) for w in value], dtype=np.int64)},
+        {"vocabulary": params["vocabulary"]},
+    ),
+    "rating_triples": lambda value, params: (
+        {
+            key: np.asarray(column, dtype=dtype)
+            for key, column, dtype in zip(
+                ("users", "products", "ratings"),
+                zip(*value) if value else ((), (), ()),
+                (np.int64, np.int64, np.float64),
+            )
+        },
+        {},
+    ),
+    "labeled_documents": lambda value, params: (
+        {
+            "labels": _encode_labeled_pairs(value),
+            "word_ids": np.asarray(
+                [[int(w[1:]) for w in words] for _, words in value],
+                dtype=np.int64,
+            ),
+        },
+        {"vocabulary": params["vocabulary"]},
+    ),
+    "labeled_vectors": lambda value, params: (
+        {
+            "labels": _encode_labeled_pairs(value),
+            "points": (
+                np.stack([x for _, x in value])
+                if value
+                else np.zeros((0, 0), dtype=np.float64)
+            ).astype(np.float64),
+        },
+        {},
+    ),
+    "bag_of_words_docs": lambda value, params: (
+        {"word_ids": np.asarray(value, dtype=np.int64)}, {},
+    ),
+    "web_graph": lambda value, params: (_encode_web_graph(value), {}),
+}
+
+
+@pytest.mark.parametrize("name,params", GENERATOR_PARAMS + FIG2_TEXT_PARAMS)
+def test_artifact_bytes_equal_the_per_record_encoding(tmp_path, name, params):
+    """Storing a generator's columns writes the very bytes that encoding
+    its records did, so artifacts already on disk keep hitting."""
+    naive = getattr(datagen, f"_naive_{name}", None)
+    value = naive(**params) if naive is not None else records(name, params)
+    ref_columns, ref_meta = REFERENCE_ENCODE[name](value, params)
+    assert ref_meta == datacache._CODECS[name].meta(params)
+    written = DatasetCache(tmp_path / "columns").store(
+        name, params, columns(name, params)
+    )
+    encoded = DatasetCache(tmp_path / "encoded").store(
+        name, params, ref_columns
+    )
+    assert written.read_bytes() == encoded.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name,params,cols,sha256",
+    [
+        (
+            "random_text_records",
+            {"n": 2, "record_len": 4, "seed": 0},
+            {"blob": np.frombuffer(b"abcdefgh", np.uint8)},
+            "e00d5d365fc36b77d1f1a2a2dc619dfdd2d3b7e03ab59d9fa94ad5044a50f170",
+        ),
+        (
+            "web_graph",
+            {"n_pages": 3, "out_degree": 1, "seed": 0},
+            {
+                "offsets": np.array([0, 2, 3, 4], dtype=np.int64),
+                "targets": np.array([1, 2, 0, 0], dtype=np.int64),
+            },
+            "ad2ae9ee14bed10efa5716cddc5e76f59f0991dcecef7e3710786bbb9227e981",
+        ),
+    ],
+)
+def test_artifact_format_is_pinned(tmp_path, name, params, cols, sha256):
+    """The writer's bytes (header, alignment, seal) are a stored format:
+    changing them must come with a ``DATACACHE_VERSION`` bump."""
+    path = DatasetCache(tmp_path).store(name, params, cols)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 # -------------------------------------------------------------- corruption
@@ -98,10 +237,8 @@ def test_keys_lists_stored_artifacts(tmp_path):
 def sealed_artifact(tmp_path):
     name, params = ("bag_of_words_docs", GENERATOR_PARAMS[5][1])
     cache = DatasetCache(tmp_path)
-    value = generate(name, params)
-    path = cache.store(name, params, value)
-    datacache.clear_load_cache()
-    return cache, name, params, path, value
+    path = cache.store(name, params, columns(name, params))
+    return cache, name, params, path, records(name, params)
 
 
 def _flip_byte(path: Path, offset: int) -> None:
@@ -144,12 +281,11 @@ def test_corrupt_artifact_is_regenerated_and_healed(sealed_artifact):
     _flip_byte(path, path.stat().st_size - 1)
     datacache.configure(cache.root)
     datacache.reset_stats()
-    fetched = datacache.fetch(name, params, lambda: generate(name, params))
+    fetched = datacache.fetch(name, params, lambda: columns(name, params))
     assert_same_dataset(fetched, value)
     assert datacache.stats() == {
         "hits": 0, "misses": 1, "stores": 1, "memo_hits": 0,
     }
-    datacache.clear_load_cache()
     assert cache.load(name, params) is not None  # healed on disk
 
 
@@ -168,57 +304,28 @@ def test_store_failure_never_breaks_generation(tmp_path, monkeypatch):
         lambda *a, **k: (_ for _ in ()).throw(OSError("disk full")),
     )
     name, params = GENERATOR_PARAMS[0]
-    value = datacache.fetch(name, params, lambda: generate(name, params))
-    assert_same_dataset(value, generate(name, params))
+    value = datacache.fetch(name, params, lambda: columns(name, params))
+    assert_same_dataset(value, records(name, params))
 
-
-# ---------------------------------------------------------------- eviction
-
-def test_decoded_lru_is_bounded_and_reloads_after_eviction(tmp_path):
-    cache = DatasetCache(tmp_path)
-    name = "random_text_records"
-    param_sets = [
-        dict(n=8, record_len=4, seed=seed)
-        for seed in range(datacache._LOAD_CACHE_LIMIT + 2)
-    ]
-    for params in param_sets:
-        cache.store(name, params, generate(name, params))
-    datacache.clear_load_cache()
-    for params in param_sets:
-        assert cache.load(name, params) is not None
-    assert len(datacache._LOAD_CACHE) == datacache._LOAD_CACHE_LIMIT
-    # The evicted (oldest) entry decodes again from disk, identically.
-    first = cache.load(name, param_sets[0])
-    assert first is not None
-    assert_same_dataset(first, generate(name, param_sets[0]))
-
-
-def test_repeated_loads_hit_the_decoded_lru(tmp_path):
-    cache = DatasetCache(tmp_path)
-    name, params = GENERATOR_PARAMS[0]
-    cache.store(name, params, generate(name, params))
-    datacache.clear_load_cache()
-    first = cache.load(name, params)
-    assert cache.load(name, params) is first  # same decoded object
 
 
 # ------------------------------------------------------------- concurrency
 
-def _store_in_subprocess(root, name, params, value):  # pragma: no cover
+def _store_in_subprocess(root, name, params, cols):  # pragma: no cover
     from repro.workloads.datacache import DatasetCache
 
-    DatasetCache(root).store(name, params, value)
+    DatasetCache(root).store(name, params, cols)
 
 
 def test_concurrent_writers_race_harmlessly(tmp_path):
     """Several processes storing the same key produce one intact
     artifact — atomic rename means readers never observe a torn file."""
     name, params = ("web_graph", GENERATOR_PARAMS[6][1])
-    value = generate(name, params)
+    cols = columns(name, params)
     procs = [
         multiprocessing.Process(
             target=_store_in_subprocess,
-            args=(str(tmp_path), name, params, value),
+            args=(str(tmp_path), name, params, cols),
         )
         for _ in range(4)
     ]
@@ -232,7 +339,7 @@ def test_concurrent_writers_race_harmlessly(tmp_path):
     assert not list(tmp_path.glob(".tmp-*"))  # no leaked temp files
     loaded = cache.load(name, params)
     assert loaded is not None
-    assert_same_dataset(loaded, generate(name, params))
+    assert_same_dataset(loaded, records(name, params))
 
 
 # ------------------------------------------------------------ fetch + memo
@@ -240,9 +347,8 @@ def test_concurrent_writers_race_harmlessly(tmp_path):
 def test_fetch_counts_miss_then_hit(tmp_path):
     datacache.configure(tmp_path)
     name, params = GENERATOR_PARAMS[0]
-    datacache.fetch(name, params, lambda: generate(name, params))
-    datacache.clear_load_cache()
-    datacache.fetch(name, params, lambda: generate(name, params))
+    datacache.fetch(name, params, lambda: columns(name, params))
+    datacache.fetch(name, params, lambda: columns(name, params))
     assert datacache.stats() == {
         "hits": 1, "misses": 1, "stores": 1, "memo_hits": 0,
     }
@@ -251,8 +357,8 @@ def test_fetch_counts_miss_then_hit(tmp_path):
 def test_fetch_without_active_cache_just_generates():
     datacache.deactivate()
     name, params = GENERATOR_PARAMS[0]
-    value = datacache.fetch(name, params, lambda: generate(name, params))
-    assert_same_dataset(value, generate(name, params))
+    value = datacache.fetch(name, params, lambda: columns(name, params))
+    assert_same_dataset(value, records(name, params))
     assert datacache.stats() == {
         "hits": 0, "misses": 0, "stores": 0, "memo_hits": 0,
     }
@@ -269,14 +375,15 @@ def test_datagen_memo_answers_before_the_artifact_cache(tmp_path):
 
 # ------------------------------------------------------- headline property
 
-#: Workloads whose prepare phase flows through a ``datagen`` generator
-#: (kmeans builds its points inline and never touches the cache).
-@given(
-    workload=st.sampled_from(
-        ["sort", "wordcount", "pagerank", "als", "rf", "lda"]
-    )
-)
-@settings(max_examples=6, deadline=None)
+#: Every workload whose prepare phase flows through a ``datagen``
+#: generator (kmeans builds its points inline and never touches the
+#: cache); together they call all seven generators.
+DATAGEN_WORKLOADS = [
+    "sort", "repartition", "wordcount", "pagerank", "als", "rf", "bayes", "lda",
+]
+
+
+@pytest.mark.parametrize("workload", DATAGEN_WORKLOADS)
 def test_cached_dataset_capture_equals_fresh_datagen_capture(workload):
     """The cache never changes what an experiment computes: a capture
     whose prepare phase was served entirely from dataset artifacts is

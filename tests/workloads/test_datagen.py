@@ -18,6 +18,8 @@ def test_random_text_deterministic():
 def test_random_text_validation():
     with pytest.raises(ValueError):
         datagen.random_text_records(-1)
+    with pytest.raises(ValueError):
+        datagen.random_text_records(5, record_len=0)
 
 
 def test_zipf_words_skewed():
@@ -95,3 +97,16 @@ def test_web_graph_skew_towards_low_ids():
 def test_web_graph_validation():
     with pytest.raises(ValueError):
         datagen.web_graph(0)
+
+
+@pytest.mark.parametrize("block_chars", [1, 7, 64])
+def test_random_text_blocks_draw_the_values_of_one_draw(monkeypatch, block_chars):
+    """Rows drawn a block at a time equal one (n, record_len) draw:
+    across block boundaries and with records longer than a block."""
+    monkeypatch.setattr(datagen, "_TEXT_BLOCK_CHARS", block_chars)
+    for n, record_len in ((0, 3), (1, 1), (5, 3), (13, 2), (4, 9), (30, 80)):
+        datagen.clear_cache()
+        assert datagen.random_text_records(
+            n, record_len, seed=5
+        ) == datagen._naive_random_text_records(n, record_len, seed=5)
+    datagen.clear_cache()
