@@ -22,10 +22,10 @@ regression gate only fails on a >50 % slowdown against baseline.
 Campaign-level measurement: the full 84-point Fig. 2 grid is also timed
 as one campaign three ways — every point simulated in full
 (``reuse_traces=False``, serial), cold trace reuse (pooled: one capture
-per behaviour class, the rest replayed over the shared-memory
-transport) and warm trace reuse (pooled, every replayable point served
-from artifacts written by the cold pass).  Every traced pass must be
-value-identical to the direct one;
+per behaviour class, the rest replayed, each worker reading artifacts
+through its own trace-store LRU) and warm trace reuse (pooled, every
+replayable point served from artifacts written by the cold pass).
+Every traced pass must be value-identical to the direct one;
 the PR-8 gate additionally holds the pooled cold/warm passes to ≤ ½ / ≤ ⅓
 of the committed PR-4 serial wall clock.  ``BENCH_WORKERS`` sets the
 pool width (default ``min(4, cpu_count)``),
@@ -168,11 +168,12 @@ def time_campaign() -> dict | None:
     """Time the Fig. 2 grid campaign direct vs pooled cold/warm reuse.
 
     Returns ``None`` when ``BENCH_CAMPAIGN=off``.  The direct pass stays
-    serial (the PR-4 reference shape); the traced passes run the PR-8
-    path — a worker pool fed through the shared-memory transport with
-    micro-kernel replay.  Every traced pass is asserted
-    value-identical to the direct pass point by point, so the wall-clock
-    comparison never trades correctness for speed.
+    serial (the PR-4 reference shape); the traced passes run a worker
+    pool with micro-kernel replay, each worker decoding a behaviour
+    class's artifact once into its own trace-store LRU and sent nothing
+    but the point's config and directory roots.  Every traced pass is
+    asserted value-identical to the direct pass point by point, so the
+    wall-clock comparison never trades correctness for speed.
 
     All three passes share one dataset-artifact directory: the direct
     pass seeds the artifacts, the cold capture wave loads them instead

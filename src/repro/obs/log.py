@@ -92,13 +92,13 @@ class StructuredLog:
         }
         record.update(self.fields)
         record.update(fields)
-        line = json.dumps(record, sort_keys=True, default=str)
         root = self._parent or self
         with root._lock:
             root._tail.append(record)
             sink = self._sink()
             if sink is not None:
-                sink.write(line + "\n")
+                # Only a configured sink pays for the JSON encoding.
+                sink.write(json.dumps(record, sort_keys=True, default=str) + "\n")
                 sink.flush()
         return record
 

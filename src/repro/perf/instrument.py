@@ -63,8 +63,6 @@ _TARGETS: tuple[tuple[str, str | None, str, str], ...] = (
     ("repro.trace", None, "fast_replay_experiment", "trace.fastreplay"),
     ("repro.trace.store", "TraceStore", "save", "trace.store"),
     ("repro.trace.store", "TraceStore", "load", "trace.store"),
-    ("repro.trace.shm", "SharedTraceCache", "publish", "trace.shm"),
-    ("repro.trace.shm", None, "attach", "trace.shm"),
 )
 
 #: The active profile, if any (one at a time keeps the span stack sane).

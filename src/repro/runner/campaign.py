@@ -27,13 +27,12 @@ this module exploits:
   :class:`~repro.trace.replay.ReplayDivergence` — bit-identical to
   direct simulation, several times faster.  Trace artifacts live beside
   the result cache (``<cache_dir>/traces/``);
-- **zero-copy transport** — with a process pool, the runner keeps its
-  workers alive across waves and campaigns, decompresses each trace
-  artifact once in the parent, and publishes the columnar arrays to
-  ``multiprocessing.shared_memory`` (:mod:`repro.trace.shm`); replay
-  workers attach numpy views instead of re-inflating gzip + pickle per
-  point.  Segments are unlinked by :meth:`CampaignRunner.close` (or a
-  GC/exit finalizer), so a crashed or cancelled campaign leaks nothing.
+- **one pool** — with ``workers > 1`` the runner keeps its workers
+  alive across waves and campaigns.  A pooled point travels as its
+  config and the directory roots only: each worker reads trace
+  artifacts through its own :class:`~repro.trace.store.TraceStore`
+  LRU, so it decodes a behaviour class once and hits its cache for
+  every later point of that class.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ import time
 import traceback
 import typing as t
 import weakref
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -115,7 +115,6 @@ def _execute_point(
     config: ExperimentConfig,
     trace_root: str | None = None,
     obs_dir: str | None = None,
-    shm_manifest: "dict[str, t.Any] | None" = None,
     dataset_root: str | None = None,
 ) -> tuple[ExperimentResult, str]:
     """Worker entry point (module-level so it pickles into the pool).
@@ -125,12 +124,6 @@ def _execute_point(
     artifact, capturing a new one, or falling back to direct simulation
     when the config's behaviour is timing-dependent (faults,
     speculation) or the replay diverges.
-
-    ``shm_manifest`` maps behaviour keys to shared-memory segment
-    descriptors published by the parent; installing it lets the trace
-    store resolve those keys zero-copy instead of re-reading the
-    artifact file (keys are content-addressed, so repeated installs
-    across a persistent worker's lifetime are cumulative and safe).
 
     ``dataset_root`` activates the process-wide dataset artifact cache
     (:mod:`repro.workloads.datacache`) so capture/direct points load
@@ -165,10 +158,6 @@ def _execute_point(
                 metrics_path=str(root / f"{key}.metrics.json"),
             )
         )
-    if shm_manifest:
-        from repro.trace.store import install_shared_view
-
-        install_shared_view(shm_manifest)
     with _paused_gc():
         if trace_root is None:
             result, status = (
@@ -338,20 +327,14 @@ class CampaignError(RuntimeError):
 
 
 def _close_resources(resources: dict) -> None:
-    """Tear down a runner's persistent pool and shared segments.
+    """Tear down a runner's persistent pool and temporary directories.
 
     Module-level so ``weakref.finalize`` can invoke it after the runner
-    is gone: the pool shuts down first (workers detach their mappings),
-    then every published segment is unlinked — zero leaked ``/dev/shm``
-    entries even when ``close()`` was never called — and the runner's
-    temporary directories are removed.
+    is gone, even when ``close()`` was never called.
     """
     pool = resources.pop("pool", None)
     if pool is not None:
         pool.shutdown(wait=True, cancel_futures=True)
-    shm_cache = resources.pop("shm", None)
-    if shm_cache is not None:
-        shm_cache.close()
     # Last: with the pool gone, no worker writes to these any more.
     for tmp in resources.pop("tmp", {}).values():
         tmp.cleanup()
@@ -364,9 +347,8 @@ class CampaignRunner:
     across waves and across :meth:`run` calls — replay-heavy campaigns
     stop paying process spawn + interpreter warmup per wave.  Call
     :meth:`close` (or use the runner as a context manager) to release
-    the pool, any shared-memory trace segments and the temporary
-    directories the runner made; a finalizer does the same on garbage
-    collection or interpreter exit.
+    the pool and the temporary directories the runner made; a finalizer
+    does the same on garbage collection or interpreter exit.
 
     Parameters
     ----------
@@ -449,14 +431,16 @@ class CampaignRunner:
             raise ValueError("workers must be >= 0")
         self.workers = workers or 0
         #: Lazily-created persistent resources: "pool" (the process
-        #: pool), "shm" (the shared-trace cache) and "tmp" (the
-        #: temporary directories below, by attribute name).  Held in a
-        #: plain dict so the exit finalizer can release them without
-        #: keeping the runner itself alive.
+        #: pool) and "tmp" (the temporary directories below, by
+        #: attribute name).  Held in a plain dict so the exit finalizer
+        #: can release them without keeping the runner itself alive.
         self._resources: dict[str, t.Any] = {}
         self._closer = weakref.finalize(
             self, _close_resources, self._resources
         )
+        #: Resolved points of the running campaign, by status — the
+        #: running counts progress snapshots are built from.
+        self._resolved: Counter[str] = Counter()
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         if self.cache is not None:
             if resume:
@@ -512,6 +496,7 @@ class CampaignRunner:
 
         pending = self._resolve_cached(points)
         primaries, aliases = self._deduplicate(pending)
+        self._resolved = Counter({STATUS_CACHED: len(points) - len(pending)})
         self._emit_progress(report, started)
 
         if primaries:
@@ -526,8 +511,7 @@ class CampaignRunner:
                     workers=self.workers,
                 )
                 if self.workers > 1:
-                    manifest = self._publish_wave_traces(wave)
-                    self._run_pool(wave, report, started, manifest)
+                    self._run_pool(wave, report, started)
                 else:
                     self._run_serial(wave, report, started)
             self._resolve_aliases(aliases, report, started)
@@ -544,16 +528,15 @@ class CampaignRunner:
         return report
 
     def close(self) -> None:
-        """Release the persistent pool, unlink published segments and
-        remove the runner's temporary directories.
+        """Release the persistent pool and remove the runner's
+        temporary directories.
 
-        Idempotent, and the runner stays usable — the pool and the
-        shared-trace cache are recreated lazily on the next parallel
-        campaign, and the next :meth:`run` makes fresh temporary
-        directories (so traces and datasets kept there are made again).
-        ``run_campaign`` calls this automatically; long-lived
-        runners (sessions, notebooks) should call it when done or use
-        the runner as a context manager.
+        Idempotent, and the runner stays usable — the pool is recreated
+        lazily on the next parallel campaign, and the next :meth:`run`
+        makes fresh temporary directories (so traces and datasets kept
+        there are made again).  ``run_campaign`` calls this
+        automatically; long-lived runners (sessions, notebooks) should
+        call it when done or use the runner as a context manager.
         """
         _close_resources(self._resources)
 
@@ -637,46 +620,6 @@ class CampaignRunner:
                 lead.append(point)
         return [wave for wave in (lead, follow) if wave]
 
-    def _publish_wave_traces(
-        self, wave: list[CampaignPoint]
-    ) -> "dict[str, t.Any] | None":
-        """Decompress-once, map-many: publish the wave's trace artifacts.
-
-        Every artifact a pooled wave will replay is loaded once here in
-        the parent (through the store's own load cache) and its columnar
-        arrays are copied into shared memory; workers then attach
-        zero-copy views instead of paying gzip + unpickle per point.
-        Keys already published — earlier waves, earlier campaigns on
-        this runner — are skipped.  Returns the cumulative manifest, or
-        ``None`` when the wave has nothing to replay.
-        """
-        if self.trace_root is None or not wave:
-            return None
-        from repro.trace import TraceStore, is_replayable_config, trace_key
-
-        store = TraceStore(self.trace_root)
-        for point in wave:
-            replayable, _ = is_replayable_config(point.config)
-            if not replayable:
-                continue
-            key = trace_key(point.config)
-            shm_cache = self._resources.get("shm")
-            if shm_cache is not None and key in shm_cache:
-                continue
-            trace = store.load(point.config)
-            if trace is None:
-                continue  # capture point — nothing to publish yet
-            if shm_cache is None:
-                from repro.trace.shm import SharedTraceCache
-
-                shm_cache = SharedTraceCache()
-                self._resources["shm"] = shm_cache
-            shm_cache.publish(key, trace)
-        shm_cache = self._resources.get("shm")
-        if shm_cache is None or len(shm_cache) == 0:
-            return None
-        return shm_cache.manifest()
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
         pool = self._resources.get("pool")
         if pool is None:
@@ -708,14 +651,13 @@ class CampaignRunner:
                         point.config,
                         trace_root,
                         obs_dir,
-                        None,
                         dataset_root,
                     )
                     self._record(point, result, status)
                 except Exception as exc:  # noqa: BLE001 - point isolation
                     point.error = f"{type(exc).__name__}: {exc}"
                     point.status = STATUS_FAILED
-                self._emit_progress(report, started)
+                self._emit_progress(report, started, point)
         finally:
             if dataset_root is not None:
                 datacache.configure(
@@ -727,7 +669,6 @@ class CampaignRunner:
         primaries: list[CampaignPoint],
         report: CampaignReport,
         started: float,
-        shm_manifest: "dict[str, t.Any] | None" = None,
     ) -> None:
         trace_root = None if self.trace_root is None else str(self.trace_root)
         obs_dir = None if self.obs_dir is None else str(self.obs_dir)
@@ -742,7 +683,6 @@ class CampaignRunner:
                 point.config,
                 trace_root,
                 obs_dir,
-                shm_manifest,
                 dataset_root,
             ): point
             for point in primaries
@@ -760,7 +700,7 @@ class CampaignRunner:
                 else:
                     result, status = future.result()
                     self._record(point, result, status)
-                self._emit_progress(report, started)
+                self._emit_progress(report, started, point)
         if broken:
             # A worker died hard; the executor is permanently broken.
             # Drop it so the next wave gets a fresh pool instead of
@@ -783,7 +723,7 @@ class CampaignRunner:
             else:
                 point.error = primary.error
                 point.status = STATUS_FAILED
-            self._emit_progress(report, started)
+            self._emit_progress(report, started, point)
 
     def _export_observability(self, report: CampaignReport) -> None:
         """Merge per-point artifacts into the campaign-level outputs.
@@ -858,21 +798,31 @@ class CampaignRunner:
         ).strip()
         return detail or type(exc).__name__
 
-    def _emit_progress(self, report: CampaignReport, started: float) -> None:
+    def _emit_progress(
+        self,
+        report: CampaignReport,
+        started: float,
+        point: CampaignPoint | None = None,
+    ) -> None:
+        """Count ``point`` (just resolved) and report progress.
+
+        O(1) per point: snapshots come from the running counts in
+        ``_resolved``, never from a rescan of the report.
+        """
+        if point is not None:
+            self._resolved[point.status] += 1
         if self.progress is None:
             return
-        resolved = [
-            p for p in report.points if p.result is not None or p.error is not None
-        ]
-        executed = sum(p.status in LIVE_STATUSES for p in resolved)
-        cached = sum(p.status in (STATUS_CACHED, STATUS_DEDUPED) for p in resolved)
-        failed = sum(p.status == STATUS_FAILED for p in resolved)
+        resolved = self._resolved
+        executed = sum(resolved[status] for status in LIVE_STATUSES)
+        cached = resolved[STATUS_CACHED] + resolved[STATUS_DEDUPED]
+        failed = resolved[STATUS_FAILED]
         elapsed = time.monotonic() - started
         live = executed + failed
         per_point = elapsed / live if live else 0.0
         self.progress(
             CampaignProgress(
-                completed=len(resolved),
+                completed=executed + cached + failed,
                 total=len(report.points),
                 executed=executed,
                 cached=cached,
@@ -898,10 +848,10 @@ def run_campaign(
 ) -> CampaignReport:
     """One-shot convenience wrapper around :class:`CampaignRunner`.
 
-    The runner (and with it the worker pool and any shared-memory
-    segments) is closed before returning — one-shot callers never leak;
-    reuse a :class:`CampaignRunner` directly to amortize pool spawn
-    across campaigns.
+    The runner (and with it the worker pool) is closed before
+    returning — one-shot callers never leak; reuse a
+    :class:`CampaignRunner` directly to amortize pool spawn across
+    campaigns.
     """
     runner = CampaignRunner(
         workers=workers,

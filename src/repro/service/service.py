@@ -18,10 +18,10 @@ the same decisions *online*, per submission:
   client served least recently wins), then arrival order; replay-aware:
   the first job of a behaviour class *captures* its trace while later
   jobs of the class are held and then *replay* it (the campaign
-  runner's two-wave plan, online) through the micro-kernel re-timer,
-  with the captured artifact published once to shared memory so pooled
-  replay workers attach zero-copy views instead of re-inflating gzip +
-  pickle per job;
+  runner's two-wave plan, online) through the micro-kernel re-timer.
+  A dispatched job carries only its config and the directory roots;
+  each pool worker reads the artifact through its own
+  :class:`~repro.trace.store.TraceStore` LRU, decoding a class once;
 - **worker supervision** — when a pool worker dies (OOM kill, signal)
   the pool is replaced by a fresh one of the same width: only the jobs
   in flight on the dead pool fail, and later jobs run on the new one
@@ -109,14 +109,6 @@ class ExperimentService:
     heartbeat:
         Seconds between ``progress`` events for running jobs
         (``0`` disables the heartbeat task).
-    max_shm_bytes:
-        Bound on the total payload the service's *one*
-        :class:`~repro.trace.shm.SharedTraceCache` may hold in
-        ``/dev/shm`` across every behaviour class it publishes.
-        Publishing past the bound evicts least-recently-dispatched
-        segments (workers already attached keep their mappings; later
-        replays of an evicted class fall back to the on-disk artifact).
-        ``None`` disables the bound.
     execute:
         Worker entry point override for tests: a callable
         ``(config, trace_root, obs_dir) -> (result, status)``.  The
@@ -148,7 +140,6 @@ class ExperimentService:
         max_queue: int = 64,
         max_inflight_per_client: int = 16,
         heartbeat: float = 0.5,
-        max_shm_bytes: int | None = 256 * 1024 * 1024,
         execute: t.Callable[..., t.Any] | None = None,
         event_history: int = DEFAULT_EVENT_HISTORY,
         flight_dir: "str | Path | None" = None,
@@ -159,7 +150,6 @@ class ExperimentService:
             raise ValueError("max_inflight_per_client must be >= 1")
         if event_history < 1:
             raise ValueError("event_history must be >= 1")
-        self.max_shm_bytes = max_shm_bytes
         self.options = options if options is not None else RunOptions()
         self.max_queue = max_queue
         self.max_inflight_per_client = max_inflight_per_client
@@ -197,11 +187,6 @@ class ExperimentService:
         self._cache: ResultCache | None = None
         self._trace_tmp: tempfile.TemporaryDirectory | None = None
         self._trace_root: Path | None = None
-        #: The service's one shared-memory trace cache: every behaviour
-        #: class publishes into it (created lazily on the first
-        #: replayable dispatch), and ``max_shm_bytes`` caps its total
-        #: ``/dev/shm`` footprint via LRU eviction.
-        self._shm_cache: t.Any | None = None
         self._obs_tmp: tempfile.TemporaryDirectory | None = None
         self._obs_dir: Path | None = None
         self._dataset_tmp: tempfile.TemporaryDirectory | None = None
@@ -341,11 +326,6 @@ class ExperimentService:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._shm_cache is not None:
-            # After the pool is gone no worker holds a mapping; unlink
-            # every published segment so a drained service leaks none.
-            self._shm_cache.close()
-            self._shm_cache = None
         if self._dataset_root is not None:
             # Serial jobs execute in this process through a worker
             # thread, so the process-wide dataset cache may point at
@@ -654,11 +634,10 @@ class ExperimentService:
         obs_dir = None if self._obs_dir is None else str(self._obs_dir)
         args: tuple[t.Any, ...] = (job.config, trace_root, obs_dir)
         if self._execute is _execute_point:
-            # The stock entry point understands the shared-memory
-            # manifest and the dataset-artifact root; ``execute=``
-            # overrides keep the documented 3-argument contract.
+            # The stock entry point also takes the dataset-artifact
+            # root; ``execute=`` overrides keep the documented
+            # 3-argument contract.
             args += (
-                self._publish_trace(job),
                 None if self._dataset_root is None else str(self._dataset_root),
             )
         executor = self._executor
@@ -675,53 +654,6 @@ class ExperimentService:
             )
         asyncio.ensure_future(self._finish(job, pool_future, executor))
         self._set_gauges()
-
-    def _publish_trace(self, job: Job) -> "dict[str, t.Any] | None":
-        """Decompress-once for the pool: publish ``job``'s trace artifact.
-
-        With a process pool and an on-disk artifact for the job's
-        behaviour class, the parent loads it once (through the store's
-        load cache) and publishes the columnar arrays to shared memory;
-        the dispatched worker — and every later worker replaying the
-        class — attaches a zero-copy view.  Returns the cumulative
-        manifest for the dispatch, or ``None`` when there is nothing to
-        share (serial pool, capture jobs, non-replayable configs).
-        """
-        if self._trace_root is None or (self.options.workers or 0) <= 1:
-            return None
-        from repro.trace import TraceStore, is_replayable_config, trace_key
-
-        replayable, _ = is_replayable_config(job.config)
-        if not replayable:
-            return None
-        key = trace_key(job.config)
-        if self._shm_cache is not None and key in self._shm_cache:
-            # Dispatching this class again makes it the most recently
-            # used — eviction under ``max_shm_bytes`` takes idle
-            # classes first.
-            self._shm_cache.touch(key)
-        else:
-            trace = TraceStore(self._trace_root).load(job.config)
-            if trace is not None:
-                if self._shm_cache is None:
-                    from repro.trace.shm import SharedTraceCache
-
-                    self._shm_cache = SharedTraceCache(
-                        max_bytes=self.max_shm_bytes
-                    )
-                self._shm_cache.publish(key, trace)
-                self.metrics.inc("service.shm_published")
-                self.metrics.set_gauge(
-                    "service.shm_bytes", float(self._shm_cache.nbytes)
-                )
-                if self._shm_cache.evictions:
-                    self.metrics.set_gauge(
-                        "service.shm_evictions",
-                        float(self._shm_cache.evictions),
-                    )
-        if self._shm_cache is None or len(self._shm_cache) == 0:
-            return None
-        return self._shm_cache.manifest()
 
     async def _finish(
         self, job: Job, pool_future: "asyncio.Future", executor: Executor

@@ -17,10 +17,8 @@ This package splits the engine accordingly:
   and simulates directly when the config is not replayable or the
   replay raises :class:`ReplayDivergence`;
 - :mod:`repro.trace.store` — content-addressed gzipped artifacts stored
-  beside the campaign result cache;
-- :mod:`repro.trace.shm` — zero-copy shared-memory transport: the
-  campaign/service parent decompresses each artifact once and pool
-  workers attach numpy views instead of re-inflating it per point.
+  beside the campaign result cache, decoded once per process into a
+  byte-bounded LRU (pool workers each keep their own).
 
 Entry points: :func:`capture_experiment`, :func:`fast_replay_experiment`
 and :func:`run_with_trace` (store-mediated capture-or-replay with the
@@ -36,19 +34,11 @@ from repro.trace.replay import (
     is_replayable_config,
     run_with_trace,
 )
-from repro.trace.shm import SegmentDescriptor, SharedTraceCache
-from repro.trace.store import (
-    TraceStore,
-    clear_shared_view,
-    install_shared_view,
-    trace_key,
-)
+from repro.trace.store import TraceStore, trace_key
 
 __all__ = [
     "JobTrace",
     "ReplayDivergence",
-    "SegmentDescriptor",
-    "SharedTraceCache",
     "TraceRecorder",
     "TraceStore",
     "TaskSetTrace",
@@ -56,9 +46,7 @@ __all__ = [
     "behavior_dict",
     "capture_experiment",
     "check_compatible",
-    "clear_shared_view",
     "fast_replay_experiment",
-    "install_shared_view",
     "is_replayable_config",
     "run_with_trace",
     "trace_key",

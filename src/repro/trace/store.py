@@ -25,12 +25,12 @@ behaviour class of the paper's grid stays decoded (together with the
 replay plan :mod:`repro.trace.fastreplay` compiles onto it) however
 many classes a campaign or service cycles through.
 
-Campaign and service workers can additionally hold a *shared-memory
-view*: :func:`install_shared_view` registers a manifest of
-behaviour-key → :class:`~repro.trace.shm.SegmentDescriptor` published
-by the parent, and :meth:`TraceStore.load` resolves those keys by
-zero-copy attachment (no disk read, no decompression) before falling
-back to the artifact file.
+Pool workers of a campaign or the service read artifacts the same way:
+each worker process keeps its own LRU, so a worker decodes a behaviour
+class once and every later point of that class it runs is a cache hit.
+Nothing but the config and the directory roots travels with a pooled
+point, and every decode checks the format and engine versions and the
+checksum before the trace is cached.
 """
 
 from __future__ import annotations
@@ -70,28 +70,6 @@ _LOAD_CACHE: "OrderedDict[tuple[str, int, int, str], tuple[WorkloadTrace, int]]"
 #: traces go first, the newest always stays.  All 21 paper behaviour
 #: classes (7 workloads x tiny/small/large) take ~6.2 MB together.
 _LOAD_CACHE_BYTES = 16 * 2**20
-
-#: Process-local manifest of shared-memory-published artifacts
-#: (trace_key → :class:`repro.trace.shm.SegmentDescriptor`), installed
-#: into pool workers by the campaign runner / service parent.
-_SHARED_VIEW: dict[str, t.Any] = {}
-
-
-def install_shared_view(manifest: "dict[str, t.Any] | None") -> None:
-    """Register published segments for this process's trace loads.
-
-    Keys are content-addressed (:func:`trace_key` folds in the engine
-    and format versions), so installing is cumulative and idempotent —
-    a manifest can only ever add segments for keys this process has not
-    seen, never redefine one.
-    """
-    if manifest:
-        _SHARED_VIEW.update(manifest)
-
-
-def clear_shared_view() -> None:
-    """Drop every registered segment descriptor (tests, shutdown)."""
-    _SHARED_VIEW.clear()
 
 
 def trace_key(config: "ExperimentConfig") -> str:
@@ -159,18 +137,7 @@ class TraceStore:
         checksum-failing artifacts all resolve to a miss — the caller
         captures (or simulates) instead of trusting a stale trace.
         """
-        key = trace_key(config)
-        descriptor = _SHARED_VIEW.get(key)
-        if descriptor is not None:
-            from repro.trace import shm as _shm
-
-            shared = _shm.attach(descriptor)
-            if shared is not None:
-                # Published traces were version-checked and intact when
-                # the parent loaded them; the segment bytes are those
-                # exact arrays.
-                return shared
-        path = self.root / f"{key}{_SUFFIX}"
+        path = self.path_for(config)
         try:
             stat = path.stat()
             payload = path.read_bytes()

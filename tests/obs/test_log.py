@@ -74,6 +74,43 @@ def test_file_sink_appends_and_read_log_roundtrips(tmp_path):
     assert records[1]["job"] == "j-2"
 
 
+def test_records_are_encoded_only_for_a_sink(tmp_path, monkeypatch):
+    """A log with no file or stream never JSON-encodes; one with a file
+    encodes each record once, and the file holds exactly the sorted,
+    ``default=str`` encoding of the records its tail keeps."""
+    from pathlib import PurePosixPath
+
+    from repro.obs import log as log_module
+
+    encodes = []
+    dumps = json.dumps
+
+    def counting_dumps(*args, **kwargs):
+        encodes.append(args[0])
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(log_module.json, "dumps", counting_dumps)
+    fields = {"job": "j-1", "path": PurePosixPath("/a/b"), "ids": (1, 2)}
+    quiet = StructuredLog().bind(component="service")
+    for event in ("queued", "started", "done"):
+        quiet.info(f"job.{event}", **fields)
+    assert encodes == []
+
+    path = tmp_path / "events.jsonl"
+    loud = StructuredLog(path).bind(component="service")
+    for event in ("queued", "started", "done"):
+        loud.info(f"job.{event}", **fields)
+    loud.close()
+    assert len(encodes) == 3
+    tail = loud.tail()
+    assert [{k: v for k, v in r.items() if k != "ts"} for r in tail] == [
+        {k: v for k, v in r.items() if k != "ts"} for r in quiet.tail()
+    ]
+    assert path.read_bytes() == "".join(
+        dumps(record, sort_keys=True, default=str) + "\n" for record in tail
+    ).encode("utf-8")
+
+
 def test_read_log_rejects_garbage(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"ok": 1}\nnot json\n')

@@ -11,6 +11,13 @@ from repro.runner import (
     CampaignRunner,
     run_campaign,
 )
+from repro.runner import campaign as campaign_module
+from repro.runner.campaign import (
+    LIVE_STATUSES,
+    STATUS_CACHED,
+    STATUS_DEDUPED,
+    STATUS_FAILED,
+)
 
 #: The Fig. 4 axes, shrunk to the tiny size for test speed.
 FIG4_GRID = [
@@ -185,6 +192,58 @@ def test_progress_reports_counts_and_eta():
     assert all(
         a.completed <= b.completed for a, b in zip(snapshots, snapshots[1:])
     )
+
+
+def rescan_progress(report):
+    """Progress counts as a full rescan of the report computes them."""
+    resolved = [
+        p for p in report.points if p.result is not None or p.error is not None
+    ]
+    return (
+        len(resolved),
+        len(report.points),
+        sum(p.status in LIVE_STATUSES for p in resolved),
+        sum(p.status in (STATUS_CACHED, STATUS_DEDUPED) for p in resolved),
+        sum(p.status == STATUS_FAILED for p in resolved),
+    )
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_running_progress_counts_equal_a_rescan(tmp_path, monkeypatch, workers):
+    """Each snapshot's counts, kept as points resolve, equal a rescan of
+    the report at that moment, over cached, deduped, failed (primary
+    and alias) and live points."""
+    reports = []
+
+    class RecordedReport(campaign_module.CampaignReport):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            reports.append(self)
+
+    monkeypatch.setattr(campaign_module, "CampaignReport", RecordedReport)
+    cache_dir = tmp_path / "cache"
+    run_campaign(FIG4_GRID[:2], cache_dir=cache_dir)
+    bad = ExperimentConfig(workload="repartition", size="no-such-size")
+    configs = FIG4_GRID[:4] + [bad, FIG4_GRID[3], bad, FIG4_GRID[0]]
+    seen = []
+
+    def check(progress):
+        counts = (
+            progress.completed, progress.total, progress.executed,
+            progress.cached, progress.failed,
+        )
+        assert counts == rescan_progress(reports[-1])
+        seen.append(counts)
+
+    runner = CampaignRunner(workers=workers, cache_dir=cache_dir, progress=check)
+    with runner:
+        report = runner.run(configs)
+    # Three cache hits (FIG4_GRID[0] twice), two live points, one bad
+    # primary, and two aliases: a live one and a failed one.
+    assert seen[0] == (3, 8, 0, 3, 0)
+    assert seen[-1] == (8, 8, 2, 4, 2)
+    assert len(seen) == 1 + 3 + 2  # initial, 3 primaries, 2 aliases
+    assert report.cache_hits == 3 and report.deduplicated == 1
 
 
 def test_invalid_worker_count_rejected():

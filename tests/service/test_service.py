@@ -90,6 +90,33 @@ def test_capture_then_replay_scheduling_is_value_identical(tmp_path):
     ]
 
 
+def test_pooled_service_captures_then_replays(tmp_path):
+    """Two behaviour classes x two tiers through a 2-process pool: the
+    first job of each class captures, the second replays the artifact
+    (read by the worker from disk), and every result equals a direct
+    run."""
+    from repro.analysis.resultstore import result_to_dict
+    from repro.core.experiment import run_experiment
+
+    points = [
+        api.config(workload, size="tiny", tier=tier)
+        for workload in ("sort", "repartition")
+        for tier in (0, 2)
+    ]
+
+    async def go():
+        options = RunOptions(workers=2, trace_dir=tmp_path)
+        async with ExperimentService(options, heartbeat=0) as service:
+            jobs = [await service.submit(c) for c in points]
+            results = [await job.result() for job in jobs]
+            return results, [job.status for job in jobs]
+
+    results, statuses = asyncio.run(go())
+    assert statuses == ["captured", "replayed"] * 2
+    for point, result in zip(points, results):
+        assert result_to_dict(result) == result_to_dict(run_experiment(point))
+
+
 # ---------------------------------------------------------------- coalescing
 def test_coalescing_returns_identical_result_object():
     gate = GatedExecute()

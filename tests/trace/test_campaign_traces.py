@@ -100,14 +100,47 @@ def test_unreplayable_points_simulate_in_full(tmp_path):
 
 @pytest.mark.parametrize("workers", [2])
 def test_pool_campaign_matches_serial(tmp_path, workers):
-    serial = run_campaign(GRID, trace_dir=tmp_path / "serial")
-    pooled = run_campaign(GRID, workers=workers, trace_dir=tmp_path / "pool")
+    # Interleaved behaviour classes with unreplayable (faulted) points
+    # at both ends: every point gets the same status either way.
+    faulted = ExperimentConfig(
+        workload="sort", size="tiny", tier=3,
+        faults=FaultConfig(seed=5, task_crash_prob=0.0),
+    )
+    grid = [faulted, GRID[0], GRID[2], GRID[1], GRID[3],
+            faulted.with_options(tier=1)]
+    serial = run_campaign(grid, trace_dir=tmp_path / "serial")
+    pooled = run_campaign(grid, workers=workers, trace_dir=tmp_path / "pool")
     serial.raise_on_failure()
     pooled.raise_on_failure()
     assert [result_to_dict(r) for r in pooled.results] == [
         result_to_dict(r) for r in serial.results
     ]
+    assert [p.status for p in pooled.points] == [
+        p.status for p in serial.points
+    ] == [
+        STATUS_EXECUTED,
+        STATUS_CAPTURED, STATUS_CAPTURED, STATUS_REPLAYED, STATUS_REPLAYED,
+        STATUS_EXECUTED,
+    ]
     assert pooled.captured == 2 and pooled.replayed == 2
+
+
+def test_pooled_cold_then_warm_campaign_equals_serial(tmp_path):
+    """A pooled campaign that captures (cold) and one that replays every
+    point from the artifacts it left (warm) both equal a serial direct
+    campaign: pool workers read traces only through their own store."""
+    grid = [
+        ExperimentConfig(workload="repartition", size="tiny", tier=tier)
+        for tier in range(4)
+    ]
+    serial = run_campaign(grid, reuse_traces=False)
+    cold = run_campaign(grid, workers=2, trace_dir=tmp_path)
+    warm = run_campaign(grid, workers=2, trace_dir=tmp_path)
+    reference = [result_to_dict(r) for r in serial.results]
+    assert [result_to_dict(r) for r in cold.results] == reference
+    assert [result_to_dict(r) for r in warm.results] == reference
+    assert cold.captured == 1 and cold.replayed == len(grid) - 1
+    assert warm.replayed == len(grid)
 
 
 def test_reuse_traces_off_never_touches_traces(tmp_path):
