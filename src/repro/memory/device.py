@@ -22,7 +22,19 @@ admission time, and static parameters — repeated runs are bit-identical.
 That purity is also what lets each device memoize its arithmetic by
 value (see :meth:`MemoryDevice.service_time` and
 :meth:`MemoryDevice.record`), and lets ``record`` count bursts and fold
-their counter deltas only when the counters are read.
+their counter deltas only when the counters are read.  It goes three
+levels deep:
+
+- a burst's counter deltas depend only on its profile, the technology
+  and the DIMM count, so devices of many runs may share them through
+  :class:`DeltaTables` (a replayed trace's compiled plan owns one, so
+  every replay of the trace computes each delta once);
+- a service time depends on the burst and its *context* (technology,
+  path, core bandwidth, MLP overrides, MBA fraction) plus the active
+  stream count, so a miss of the per-device memo recomputes only the
+  burst's own terms: the context's constants are built once per
+  context, its bandwidth ceilings once per stream count;
+- the memo itself lives and dies with the device.
 """
 
 from __future__ import annotations
@@ -156,6 +168,35 @@ class PathCharacteristics:
 
 LOCAL_PATH = PathCharacteristics()
 
+#: A burst's ``(device delta, per-DIMM delta)``.
+Deltas = tuple[AccessCounters, AccessCounters]
+
+
+class DeltaTables:
+    """Counter deltas of bursts, shared by the devices bound to them.
+
+    One table per (technology, DIMM count) maps a burst's profile to its
+    ``(device delta, per-DIMM delta)``, which depend on nothing else.  A
+    bound device (:meth:`MemoryDevice.share_deltas`) reads a burst's
+    deltas here on a ``record`` miss and adds the ones it has to
+    compute; an entry never changes once it is in, and nothing mutates
+    a delta.  Whoever creates the tables owns them: the compiled plan of
+    a replayed trace holds one, so they die with the decoded trace.
+    """
+
+    __slots__ = ("_tables", "__weakref__")
+
+    def __init__(self) -> None:
+        self._tables: dict[tuple[MemoryTechnology, int], dict[AccessProfile, Deltas]] = {}
+
+    def table(self, technology: MemoryTechnology, dimm_count: int) -> dict[AccessProfile, Deltas]:
+        """The table of ``technology`` on ``dimm_count`` DIMMs."""
+        key = (technology, dimm_count)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = {}
+        return table
+
 
 class MemoryDevice:
     """One NUMA node's memory pool (a set of interleaved DIMMs).
@@ -204,6 +245,9 @@ class MemoryDevice:
         self._busy_since: float | None = None
         #: MBA throttle: fraction of peak bandwidth deliverable (0, 1].
         self._mba_fraction = 1.0
+        #: Where ``record`` finds and keeps counter deltas across devices
+        #: (see :meth:`share_deltas`); ``None`` keeps them private.
+        self._delta_tables: DeltaTables | None = None
         self._reset_memos()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -286,9 +330,27 @@ class MemoryDevice:
         self._service_memo: dict[tuple, float] = {}
         self._record_memo: dict[AccessProfile, list] = {}
         self._memo_technology = self.technology
-        #: Peak bandwidths for ``_service_time``'s misses.
-        self._peak_read = self.peak_read_bandwidth
-        self._peak_write = self.peak_write_bandwidth
+        tables = self._delta_tables
+        #: The shared counter deltas of this technology and DIMM count,
+        #: when the device is bound to tables.
+        self._deltas: dict[AccessProfile, Deltas] | None = (
+            None if tables is None else tables.table(self.technology, self.dimm_count)
+        )
+        #: ``_service_time``'s current context, its constants and its
+        #: bandwidth ceilings by stream count (see ``_enter_context``).
+        self._context: tuple | None = None
+        self._constants: tuple = ()
+        self._ceilings: dict[int, tuple[float, float, float, float]] = {}
+
+    def share_deltas(self, tables: DeltaTables) -> None:
+        """Read and keep counter deltas in ``tables`` from now on.
+
+        ``record`` then computes a burst's deltas only when no device
+        bound to the same tables has computed them for this technology
+        and DIMM count.  The values are those it would compute itself.
+        """
+        self._delta_tables = tables
+        self._reset_memos()
 
     def service_time(
         self,
@@ -326,6 +388,60 @@ class MemoryDevice:
             )
         return total
 
+    def _enter_context(
+        self,
+        context: tuple,
+        path: PathCharacteristics,
+        mlp_read: float | None,
+        mlp_write: float | None,
+    ) -> None:
+        """Build the constants ``_service_time`` uses for ``context``:
+        latency plus hop per direction, effective MLPs and the granule.
+        The bandwidth ceilings, which also depend on the stream count,
+        start empty."""
+        tech = self.technology
+        mlp_r = tech.mlp_read if mlp_read is None else mlp_read
+        mlp_w = tech.mlp_write if mlp_write is None else mlp_write
+        if mlp_r <= 0 or mlp_w <= 0:
+            raise ValueError("memory-level parallelism must be positive")
+        self._constants = (
+            tech.read_latency + path.hop_latency,
+            tech.write_latency + path.hop_latency,
+            path.effective_mlp(mlp_r),
+            path.effective_mlp(mlp_w),
+            tech.access_granularity,
+        )
+        self._ceilings = {}
+        self._context = context
+
+    def _bandwidth_ceilings(
+        self, streams: int, path: PathCharacteristics, core_stream_bw: float
+    ) -> tuple[float, float, float, float]:
+        """Bandwidths the current context grants at ``streams`` active
+        streams: random reads, random writes, streamed reads, streamed
+        writes.
+
+        The pool's direction-specific peak is shared fairly among active
+        streams, ceilinged by the interconnect cap and by what one core
+        can pull.  Streamed bytes get the path-derated peak, and MBA
+        throttles the core's request rate.  Random accesses move media
+        granules at the *raw* peak (path efficiency is a loaded-streaming
+        pathology that does not bind individual granule fetches), and
+        MBA barely delays such dependent-miss traffic, the root of Fig.
+        3's insensitivity (see :meth:`set_bandwidth_cap`).
+        """
+        peak_read = self.peak_read_bandwidth
+        peak_write = self.peak_write_bandwidth
+        cap = path.bandwidth_cap
+        core_bw = core_stream_bw * self._mba_fraction
+        ceilings = self._ceilings[streams] = (
+            max(1.0, min(core_stream_bw, peak_read / streams, cap)),
+            max(1.0, min(core_stream_bw, peak_write / streams, cap)),
+            max(1.0, min(core_bw, peak_read * path.efficiency / streams, cap)),
+            max(1.0, min(core_bw, peak_write * path.efficiency / streams, cap)),
+        )
+        return ceilings
+
     def _service_time(
         self,
         profile: AccessProfile,
@@ -334,58 +450,38 @@ class MemoryDevice:
         mlp_read: float | None,
         mlp_write: float | None,
     ) -> float:
-        tech = self.technology
-        mlp_r = tech.mlp_read if mlp_read is None else mlp_read
-        mlp_w = tech.mlp_write if mlp_write is None else mlp_write
-        if mlp_r <= 0 or mlp_w <= 0:
-            raise ValueError("memory-level parallelism must be positive")
-        mlp_r = path.effective_mlp(mlp_r)
-        mlp_w = path.effective_mlp(mlp_w)
-
-        # Bandwidth: the pool's direction-specific peak (the memo's) is
-        # shared fairly among active streams, ceilinged by the interconnect
-        # cap and by what one core can pull.  Streamed bytes get the
-        # path-derated peak, and MBA throttles the core's request rate.
-        # Random accesses move media granules at the *raw* peak (path
-        # efficiency is a loaded-streaming pathology that does not bind
-        # individual granule fetches), and MBA barely delays such
-        # dependent-miss traffic, the root of Fig. 3's insensitivity (see
-        # :meth:`set_bandwidth_cap`).
+        # Everything but the burst's own values is fixed by the context
+        # and the stream count, so it is computed once per context (and
+        # stream count), with the same operations in the same order.  A
+        # new technology resets the context (``_reset_memos``).
+        context = (path, core_stream_bw, mlp_read, mlp_write, self._mba_fraction)
+        if context != self._context:
+            self._enter_context(context, path, mlp_read, mlp_write)
         streams = max(1, self._active_streams)
-        gran = tech.access_granularity
+        ceilings = self._ceilings.get(streams)
+        if ceilings is None:
+            ceilings = self._bandwidth_ceilings(streams, path, core_stream_bw)
+        read_latency, write_latency, mlp_r, mlp_w, gran = self._constants
+        random_read_bw, random_write_bw, read_bw, write_bw = ceilings
         total = 0.0
-        if profile.random_reads:
+        random_reads = profile.random_reads
+        if random_reads:
             # Latency-bound until the media's random-access throughput
             # binds: every random access moves a full media granule, so
             # under concurrency the fair-share bandwidth is the ceiling
             # (the famous Optane random-access throughput collapse).
-            latency_term = (
-                profile.random_reads * (tech.read_latency + path.hop_latency) / mlp_r
+            total += max(
+                random_reads * read_latency / mlp_r, random_reads * gran / random_read_bw
             )
-            media_bytes = profile.random_reads * gran
-            throughput_term = media_bytes / max(
-                1.0, min(core_stream_bw, self._peak_read / streams, path.bandwidth_cap)
+        random_writes = profile.random_writes
+        if random_writes:
+            total += max(
+                random_writes * write_latency / mlp_w, random_writes * gran / random_write_bw
             )
-            total += max(latency_term, throughput_term)
-        if profile.random_writes:
-            latency_term = (
-                profile.random_writes * (tech.write_latency + path.hop_latency) / mlp_w
-            )
-            media_bytes = profile.random_writes * gran
-            throughput_term = media_bytes / max(
-                1.0, min(core_stream_bw, self._peak_write / streams, path.bandwidth_cap)
-            )
-            total += max(latency_term, throughput_term)
-
-        core_bw = core_stream_bw * self._mba_fraction
         if profile.bytes_read:
-            fair_share = self._peak_read * path.efficiency / streams
-            total += profile.bytes_read / max(1.0, min(core_bw, fair_share, path.bandwidth_cap))
+            total += profile.bytes_read / read_bw
         if profile.bytes_written:
-            fair_share = self._peak_write * path.efficiency / streams
-            total += profile.bytes_written / max(
-                1.0, min(core_bw, fair_share, path.bandwidth_cap)
-            )
+            total += profile.bytes_written / write_bw
         return total
 
     def access(
@@ -454,10 +550,12 @@ class MemoryDevice:
         The device and per-DIMM deltas depend only on the profile's
         values, the technology's granule and the DIMM count, so they are
         memoized by profile value: chunked payment, control traffic and
-        replay serve equal profiles over and over.  A call only counts
-        the burst in its memo cell ``[bursts, device delta, per-DIMM
-        delta]``; reading ``counters`` on the device or on any of its
-        DIMMs folds ``bursts × delta`` into all of them
+        replay serve equal profiles over and over.  A device bound to
+        :class:`DeltaTables` takes a new profile's deltas from there when
+        they are in (the technology and DIMM count pick the table).  A
+        call only counts the burst in its memo cell ``[bursts, device
+        delta, per-DIMM delta]``; reading ``counters`` on the device or
+        on any of its DIMMs folds ``bursts × delta`` into all of them
         (:class:`~repro.memory.counters.PendingBursts`).  The deltas are
         integers, so each product equals the repeated sum and every
         counter is bit-identical to adding the deltas call by call.
@@ -466,14 +564,18 @@ class MemoryDevice:
             self._reset_memos()
         cell = self._record_memo.get(profile)
         if cell is None:
-            cell = self._record_memo[profile] = [0, *self._record_deltas(profile)]
+            table = self._deltas
+            deltas = None if table is None else table.get(profile)
+            if deltas is None:
+                deltas = self._record_deltas(profile)
+                if table is not None:
+                    table[profile] = deltas
+            cell = self._record_memo[profile] = [0, *deltas]
         if not cell[0]:
             self._pending.cells.append(cell)
         cell[0] += 1
 
-    def _record_deltas(
-        self, profile: AccessProfile
-    ) -> tuple[AccessCounters, AccessCounters]:
+    def _record_deltas(self, profile: AccessProfile) -> Deltas:
         """The device delta of one burst and each DIMM's share of it."""
         gran = self.technology.access_granularity
         delta = AccessCounters(

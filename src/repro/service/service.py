@@ -180,6 +180,11 @@ class ExperimentService:
         self._held: dict[str, list[Job]] = {}
         #: every non-terminal job (drain waits for this to empty).
         self._active: set[Job] = set()
+        #: client → its non-terminal jobs, and the active jobs in state
+        #: QUEUED: running counts kept by ``_activate``/``_retire`` and
+        #: the QUEUED transitions, so admission reads them in O(1).
+        self._inflight: dict[str, int] = {}
+        self._queued = 0
         self.jobs: dict[int, Job] = {}
         self._state_changed: asyncio.Event | None = None
         self._heartbeat_task: asyncio.Task | None = None
@@ -428,7 +433,7 @@ class ExperimentService:
                 f"ready queue is at max_queue={self.max_queue}"
             )
         self._primary[key] = job
-        self._active.add(job)
+        self._activate(job)
         heapq.heappush(
             self._ready.setdefault(client, []), (-priority, job.seq, job)
         )
@@ -492,10 +497,7 @@ class ExperimentService:
 
     def client_inflight(self) -> dict[str, int]:
         """Non-terminal job count per client (the ``repro top`` view)."""
-        counts: dict[str, int] = {}
-        for job in self._active:
-            counts[job.client] = counts.get(job.client, 0) + 1
-        return counts
+        return dict(self._inflight)
 
     def render_prometheus(self) -> str:
         """The service registry in Prometheus text exposition format."""
@@ -511,12 +513,32 @@ class ExperimentService:
 
     # ------------------------------------------------------------------ internals
     def _client_inflight(self, client: str) -> int:
-        return sum(job.client == client for job in self._active)
+        return self._inflight.get(client, 0)
 
     def _queue_depth(self) -> int:
-        return len(self._active) - len(self._running) - sum(
-            job.state == COALESCED for job in self._active
-        )
+        return self._queued
+
+    def _activate(self, job: Job) -> None:
+        """Admit ``job`` (QUEUED or COALESCED) to the non-terminal set."""
+        self._active.add(job)
+        self._inflight[job.client] = self._inflight.get(job.client, 0) + 1
+        if job.state == QUEUED:
+            self._queued += 1
+
+    def _retire(self, job: Job, state: str) -> None:
+        """Move ``job`` to the terminal ``state``, leaving the
+        non-terminal set if it was admitted (a result-cache hit never
+        was)."""
+        if job in self._active:
+            self._active.remove(job)
+            left = self._inflight[job.client] - 1
+            if left:
+                self._inflight[job.client] = left
+            else:
+                del self._inflight[job.client]
+            if job.state == QUEUED:
+                self._queued -= 1
+        job.state = state
 
     def _set_gauges(self) -> None:
         self.metrics.set_gauge("service.queue_depth", self._queue_depth())
@@ -534,7 +556,7 @@ class ExperimentService:
         job.state = COALESCED
         job.primary = primary
         primary.followers.append(job)
-        self._active.add(job)
+        self._activate(job)
         self.metrics.inc("service.coalesce_hits")
         job._emit("queued", client=job.client, priority=job.priority,
                   key=job.key)
@@ -624,6 +646,7 @@ class ExperimentService:
     def _start_job(self, job: Job) -> None:
         assert self._loop is not None and self._executor is not None
         job.state = RUNNING
+        self._queued -= 1
         job.started_at = time.monotonic()
         self._running.add(job)
         self._last_served[job.client] = next(self._dispatch_seq)
@@ -678,11 +701,10 @@ class ExperimentService:
 
     # -- completion ------------------------------------------------------------
     def _resolve(self, job: Job, result: t.Any, status: str) -> None:
-        job.state = DONE
+        self._retire(job, DONE)
         job.status = status
         job.finished_at = time.monotonic()
         self._primary.pop(job.key, None)
-        self._active.discard(job)
         self.metrics.inc("service.completed")
         self.metrics.inc(f"service.status.{status}")
         if job.latency is not None:
@@ -700,10 +722,9 @@ class ExperimentService:
         for follower in job.followers:
             if follower.state != COALESCED:
                 continue  # cancelled followers stay cancelled
-            follower.state = DONE
+            self._retire(follower, DONE)
             follower.status = "coalesced"
             follower.finished_at = job.finished_at
-            self._active.discard(follower)
             self.metrics.inc("service.completed")
             self.metrics.inc("service.status.coalesced")
             if follower.latency is not None:
@@ -717,12 +738,11 @@ class ExperimentService:
         self._notify()
 
     def _fail(self, job: Job, exc: BaseException) -> None:
-        job.state = FAILED
+        self._retire(job, FAILED)
         job.status = "failed"
         job.error = f"{type(exc).__name__}: {exc}"
         job.finished_at = time.monotonic()
         self._primary.pop(job.key, None)
-        self._active.discard(job)
         self.metrics.inc("service.failed")
         self._emit_span(job)
         job._emit("failed", error=job.error)
@@ -731,11 +751,10 @@ class ExperimentService:
         for follower in job.followers:
             if follower.state != COALESCED:
                 continue
-            follower.state = FAILED
+            self._retire(follower, FAILED)
             follower.status = "failed"
             follower.error = job.error
             follower.finished_at = job.finished_at
-            self._active.discard(follower)
             self.metrics.inc("service.failed")
             self._emit_span(follower)
             follower._emit("failed", error=job.error, onto=job.id)
@@ -763,6 +782,7 @@ class ExperimentService:
         if promoted is not None:
             job.followers.remove(promoted)
             promoted.state = QUEUED
+            self._queued += 1
             promoted.primary = None
             promoted.followers = [
                 f for f in job.followers if f.state == COALESCED
@@ -782,10 +802,9 @@ class ExperimentService:
         return True
 
     def _terminate_cancelled(self, job: Job) -> None:
-        job.state = CANCELLED
+        self._retire(job, CANCELLED)
         job.status = "cancelled"
         job.finished_at = time.monotonic()
-        self._active.discard(job)
         self.metrics.inc("service.cancelled")
         self._emit_span(job)
         job._emit("cancelled")

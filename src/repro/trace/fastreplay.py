@@ -26,9 +26,15 @@ plan kept on that trace object, keyed by the checksum every replay
 verifies plus the shuffle chunk size; later replays only bind a fresh
 ``TaskMetrics`` per task.  The plan is not a dataclass field, so it is
 never pickled, checksummed or compared, and it goes when the decoded
-trace does.  Every burst still goes through the device's
-``service_time``/``record``, whose value memos make the many repeated
-bursts of a replay cheap; ``record`` only counts a burst, and the
+trace does.  Every burst still calls the device's ``service_time`` and
+``record`` once.  What a burst's counters gain depends only on the burst
+and the kind of device, so the plan also owns
+:class:`~repro.memory.device.DeltaTables`, one table per (technology,
+DIMM count), which each replay binds its fresh device to: a ``record``
+miss reads the deltas an earlier replay computed instead of computing
+them again.  Service times depend on the tier and MBA level too, so
+their memo stays with the replay's device, where a miss recomputes
+only the burst's own terms.  ``record`` only counts a burst, and the
 device folds the counted deltas into its and its DIMMs' counters when
 the telemetry readers read them.
 
@@ -83,7 +89,7 @@ from repro.cluster.topology import paper_testbed
 from repro.core.experiment import ExperimentConfig, ExperimentResult
 from repro.hdfs.filesystem import HdfsClient
 from repro.memory.allocator import MembindAllocator
-from repro.memory.device import AccessProfile
+from repro.memory.device import AccessProfile, DeltaTables
 from repro.memory.mba import BandwidthAllocator
 from repro.memory.tiers import tier_by_id
 from repro.obs.hooks import emit_task_set_spans, sample_device_counters
@@ -818,27 +824,43 @@ def _compile_task_set(ts: TaskSetTrace, chunk_bytes: int) -> tuple[_TaskData, ..
     return tuple(out)
 
 
-#: Compiled plan: per job, per task set, its compiled tasks.
-_Plan = tuple[tuple[tuple[_TaskData, ...], ...], ...]
+class _Plan:
+    """A trace's compiled residues and the memory-model values its
+    replays share.
+
+    ``jobs`` holds, per job, per task set, its compiled tasks.
+    ``deltas`` maps each burst to its counter deltas, one table per
+    (technology, DIMM count), filled by the replays as they meet new
+    bursts: a replay's bound device reads them there instead of
+    recomputing what an earlier replay on the same kind of device did.
+    """
+
+    __slots__ = ("jobs", "deltas")
+
+    def __init__(self, jobs: tuple[tuple[tuple[_TaskData, ...], ...], ...]) -> None:
+        self.jobs = jobs
+        self.deltas = DeltaTables()
 
 
 def _compiled_plan(trace: WorkloadTrace, chunk_bytes: int) -> _Plan:
-    """``trace``'s compiled residues, built on its first replay.
+    """``trace``'s compiled plan, built on its first replay.
 
     The plan is kept on the trace object (not a dataclass field, so it
     is neither pickled, checksummed nor compared) under the checksum the
     caller has just verified plus the chunk size, so a trace whose
     residues were re-sealed compiles afresh.  It dies with the decoded
     trace, e.g. when :class:`~repro.trace.store.TraceStore`'s load cache
-    drops it.
+    drops it, and its delta tables with it.
     """
     key = (trace.checksum, chunk_bytes)
     cached = getattr(trace, "_replay_plan", None)
     if cached is not None and cached[0] == key:
         return cached[1]
-    plan = tuple(
-        tuple(_compile_task_set(ts, chunk_bytes) for ts in job.task_sets)
-        for job in trace.jobs
+    plan = _Plan(
+        tuple(
+            tuple(_compile_task_set(ts, chunk_bytes) for ts in job.task_sets)
+            for job in trace.jobs
+        )
     )
     trace._replay_plan = (key, plan)
     return plan
@@ -1018,7 +1040,7 @@ def fast_replay_experiment(
         )
 
     def replay_jobs(first: int, stop: int | None) -> None:
-        for job_trace, job_plan in zip(trace.jobs[first:stop], plan[first:stop]):
+        for job_trace, job_plan in zip(trace.jobs[first:stop], plan.jobs[first:stop]):
             _replay_job(
                 kernel,
                 executors,
@@ -1035,6 +1057,7 @@ def fast_replay_experiment(
     measured_from = trace.measured_from
     try:
         plan = _compiled_plan(trace, conf.shuffle_chunk_bytes)
+        memory.device.share_deltas(plan.deltas)
         # Prepare-phase jobs ran before MBA throttling and telemetry.
         if tracer is not None:
             with tracer.span("prepare", cat="phase"):

@@ -13,17 +13,34 @@ same artifact and artifacts from older engines simply miss.
 
 Writes are atomic (temp file + rename): two campaign workers capturing
 the same behaviour key race harmlessly — both write identical content.
-Loads go through a per-process LRU keyed on the artifact's size,
-``mtime_ns`` *and* a SHA-256 prefix of its bytes, so a serial campaign
-replaying one behaviour class across twelve tier/MBA points
-decompresses its artifact once, not twelve times — and a same-mtime
-overwrite (two captures landing within the filesystem's timestamp
-granularity) can never serve the stale content, because the content
-digest disagrees even when the stat signature does not.  The LRU is
-bounded by the artifact bytes it holds, not by entry count, so every
+Loads go through a per-process LRU of decoded traces, one entry per
+artifact path, so a serial campaign replaying one behaviour class
+across twelve tier/MBA points decompresses its artifact once, not
+twelve times.  An entry keeps the stat signature ``(st_dev, st_ino,
+st_size, st_mtime_ns, st_ctime_ns)`` and a SHA-256 prefix of the bytes
+it was decoded from, and a load serves it in one of two ways:
+
+- **Re-verified**: the signature is equal and the bytes read now have
+  the same digest.  A same-mtime overwrite (two captures landing within
+  the filesystem's timestamp granularity) can never serve the stale
+  content, because the digest disagrees even when the signature does
+  not.
+- **Settled**: the entry was read and digested more than
+  ``_SETTLE_NS`` (2 s) after the artifact's last mtime and ctime, and
+  the signature is still equal; the load then touches no byte of the
+  file.  The kernel stamps ctime with the current time on every write,
+  ``utime`` and rename, so any change after a settling read moves ctime
+  at least the margin away from the recorded one, whatever the
+  filesystem's timestamp granularity, and the load reads and digests
+  again.  The one assumption is that the wall clock does not step back
+  across the margin.
+
+Every other load reads, digests and, on a new digest, decodes.  The LRU
+is bounded by the artifact bytes it holds, not by entry count, so every
 behaviour class of the paper's grid stays decoded (together with the
 replay plan :mod:`repro.trace.fastreplay` compiles onto it) however
-many classes a campaign or service cycles through.
+many classes a campaign or service cycles through.  :func:`stats`
+counts each load's outcome.
 
 Pool workers of a campaign or the service read artifacts the same way:
 each worker process keeps its own LRU, so a worker decodes a behaviour
@@ -41,6 +58,7 @@ import json
 import os
 import pickle
 import tempfile
+import time
 import typing as t
 from collections import OrderedDict
 from pathlib import Path
@@ -61,15 +79,64 @@ _SUFFIX = ".trace.pkl.gz"
 #: plain gzip, so readers (and old artifacts) are unaffected.
 _GZIP_LEVEL = 0
 
-#: Per-process load cache:
-#: (path, size, mtime_ns, sha256 prefix) -> (WorkloadTrace, artifact bytes).
-_LOAD_CACHE: "OrderedDict[tuple[str, int, int, str], tuple[WorkloadTrace, int]]" = (
-    OrderedDict()
-)
+#: An artifact's stat signature: (st_dev, st_ino, st_size, st_mtime_ns,
+#: st_ctime_ns).
+_Signature = tuple[int, int, int, int, int]
+
+
+class _Entry(t.NamedTuple):
+    """One decoded artifact in the load cache."""
+
+    trace: WorkloadTrace
+    #: Artifact bytes, counted against ``_LOAD_CACHE_BYTES``.
+    nbytes: int
+    signature: _Signature
+    #: SHA-256 prefix of the bytes ``trace`` was decoded from.
+    digest: str
+    #: Read and digested more than ``_SETTLE_NS`` after the artifact's
+    #: last mtime and ctime: an equal signature alone serves it.
+    settled: bool
+
+
+#: Per-process load cache: artifact path -> its decoded entry.
+_LOAD_CACHE: "OrderedDict[str, _Entry]" = OrderedDict()
 #: Artifact bytes the load cache may hold; the least recently used
 #: traces go first, the newest always stays.  All 21 paper behaviour
 #: classes (7 workloads x tiny/small/large) take ~6.2 MB together.
 _LOAD_CACHE_BYTES = 16 * 2**20
+
+#: How long after an artifact's last mtime and ctime a read must start
+#: for its entry to settle: far above any filesystem's timestamp
+#: granularity and the kernel's coarse-clock lag.
+_SETTLE_NS = 2_000_000_000
+#: The wall clock the settle rule compares stat times with (the
+#: kernel stamps them from the same realtime clock).
+_clock_ns = time.time_ns
+
+#: Load outcomes since the last :func:`reset_stats`.  Each load counts
+#: once: a hit (settled or re-verified), a decode, or a miss by reason.
+_STATS = {
+    "settled_hits": 0,
+    "verified_hits": 0,
+    "decodes": 0,
+    "missing": 0,
+    "corrupt": 0,
+    "version_skew": 0,
+    "checksum": 0,
+}
+
+
+def stats() -> dict[str, int]:
+    """Cumulative load outcomes: ``settled_hits`` (served on the stat
+    signature alone), ``verified_hits`` (bytes read and digested),
+    ``decodes``, and the misses ``missing``, ``corrupt`` (unreadable,
+    undecodable or not a trace), ``version_skew`` and ``checksum``."""
+    return dict(_STATS)
+
+
+def reset_stats() -> None:
+    for key in _STATS:
+        _STATS[key] = 0
 
 
 def trace_key(config: "ExperimentConfig") -> str:
@@ -138,32 +205,64 @@ class TraceStore:
         captures (or simulates) instead of trusting a stale trace.
         """
         path = self.path_for(config)
+        key = str(path)
+        # The clock is read before the stat: a write after the stat
+        # stamps a ctime no earlier than ``now``.
+        now = _clock_ns()
         try:
             stat = path.stat()
-            payload = path.read_bytes()
         except OSError:
+            _STATS["missing"] += 1
+            return None
+        signature = (
+            stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns
+        )
+        entry = _LOAD_CACHE.get(key)
+        if entry is not None and entry.signature != signature:
+            # The artifact changed since it was decoded.
+            del _LOAD_CACHE[key]
+            entry = None
+        if entry is not None and entry.settled:
+            _LOAD_CACHE.move_to_end(key)
+            _STATS["settled_hits"] += 1
+            return entry.trace
+        try:
+            payload = path.read_bytes()
+        except FileNotFoundError:
+            _STATS["missing"] += 1
+            return None
+        except OSError:
+            _STATS["corrupt"] += 1
             return None
         digest = hashlib.sha256(payload).hexdigest()[:16]
-        cache_key = (str(path), stat.st_size, stat.st_mtime_ns, digest)
-        cached = _LOAD_CACHE.get(cache_key)
-        if cached is not None:
-            _LOAD_CACHE.move_to_end(cache_key)
-            return cached[0]
+        settled = now - max(stat.st_mtime_ns, stat.st_ctime_ns) > _SETTLE_NS
+        if entry is not None and entry.digest == digest:
+            _LOAD_CACHE[key] = entry._replace(settled=settled)
+            _LOAD_CACHE.move_to_end(key)
+            _STATS["verified_hits"] += 1
+            return entry.trace
         try:
             trace = pickle.loads(gzip.decompress(payload))
         except Exception:  # noqa: BLE001 - corrupt artifact == miss
-            return None
+            trace = None
         if not isinstance(trace, WorkloadTrace):
+            _STATS["corrupt"] += 1
             return None
         if (
             trace.format_version != TRACE_FORMAT_VERSION
             or trace.engine_version != ENGINE_VERSION
-            or not trace.intact
         ):
+            _STATS["version_skew"] += 1
             return None
-        _LOAD_CACHE[cache_key] = (trace, len(payload))
-        held = sum(nbytes for _, nbytes in _LOAD_CACHE.values())
+        if not trace.intact:
+            _STATS["checksum"] += 1
+            return None
+        # An entry left here has the same signature but other bytes.
+        _LOAD_CACHE.pop(key, None)
+        _LOAD_CACHE[key] = _Entry(trace, len(payload), signature, digest, settled)
+        held = sum(cached.nbytes for cached in _LOAD_CACHE.values())
         while held > _LOAD_CACHE_BYTES and len(_LOAD_CACHE) > 1:
-            _, (_, evicted) = _LOAD_CACHE.popitem(last=False)
-            held -= evicted
+            _, evicted = _LOAD_CACHE.popitem(last=False)
+            held -= evicted.nbytes
+        _STATS["decodes"] += 1
         return trace

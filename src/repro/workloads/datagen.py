@@ -343,19 +343,34 @@ def web_graph(
     # Zipf-ish popularity: low page-ids attract more links.
     popularity = 1.0 / np.arange(1, n_pages + 1) ** 0.8
     popularity /= popularity.sum()
-    popularity_cdf = _normalized_cdf(popularity)
-    offsets = [0]
-    targets: list[int] = []
+    # Each page draws its degree, then that many uniforms (what
+    # ``_choice_exact`` would consume), in the stream's order; the
+    # searches, dedup and sort then run once over every draw.
+    counts = np.empty(n_pages, dtype=np.int64)
+    uniforms = []
     for page in range(n_pages):
-        degree = max(1, int(rng.poisson(out_degree)))
-        drawn = _choice_exact(rng, popularity_cdf, min(degree, n_pages))
-        links = sorted(set(drawn.tolist()) - {page})
-        targets.extend(links or [(page + 1) % n_pages])
-        offsets.append(len(targets))
-    return {
-        "offsets": np.asarray(offsets, dtype=np.int64),
-        "targets": np.asarray(targets, dtype=np.int64),
-    }
+        degree = min(max(1, int(rng.poisson(out_degree))), n_pages)
+        counts[page] = degree
+        uniforms.append(rng.random(degree))
+    drawn = _normalized_cdf(popularity).searchsorted(
+        np.concatenate(uniforms), side="right"
+    )
+    source = np.repeat(np.arange(n_pages, dtype=np.int64), counts)
+    # Sort each page's links, drop repeats and self-links.
+    order = np.lexsort((drawn, source))
+    source, drawn = source[order], drawn[order]
+    keep = drawn != source
+    keep[1:] &= (drawn[1:] != drawn[:-1]) | (source[1:] != source[:-1])
+    source, drawn = source[keep], drawn[keep]
+    # A page left without links points at the next page instead.
+    lonely = np.flatnonzero(np.bincount(source, minlength=n_pages) == 0)
+    if lonely.size:
+        at = np.searchsorted(source, lonely)
+        source = np.insert(source, at, lonely)
+        drawn = np.insert(drawn, at, (lonely + 1) % n_pages)
+    offsets = np.zeros(n_pages + 1, dtype=np.int64)
+    np.cumsum(np.bincount(source, minlength=n_pages), out=offsets[1:])
+    return {"offsets": offsets, "targets": drawn.astype(np.int64)}
 
 
 def _naive_web_graph(

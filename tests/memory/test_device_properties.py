@@ -257,7 +257,14 @@ def test_memoized_model_equals_unmemoized_arithmetic(tech, dimms, domains, opera
     time and the final device and DIMM counters equal the reference
     arithmetic.  The same bursts (every combination of a few argument
     values) are served again after every operation, so equal inputs
-    recur across every kind of state change."""
+    recur across every kind of state change.
+
+    Each burst is also computed past the memo (``_service_time``), so
+    every call exercises the per-context constants: consecutive calls
+    switch path, core bandwidth and MLP overrides, and the operations
+    between two calls of one context switch the stream count, MBA
+    fraction and technology, each of which must rebuild what it
+    changes."""
     calls = list(itertools.product(*domains))
     device = MemoryDevice(Environment(), "dev", tech, dimm_count=dimms)
     techs = [tech]  # the reference's technology stack under aging
@@ -266,6 +273,10 @@ def test_memoized_model_equals_unmemoized_arithmetic(tech, dimms, domains, opera
     counters, per_dimm = AccessCounters(), AccessCounters()
 
     def serve_all():
+        # Alternate the order, so the first call after an operation has
+        # the context of the last call before it: only what the
+        # operation changed can invalidate that context's constants.
+        calls.reverse()
         for p, q, core_bw, mlp_read, mlp_write in calls:
             profile = AccessProfile(*p)
             path = PathCharacteristics(**PATHS[q])
@@ -276,6 +287,9 @@ def test_memoized_model_equals_unmemoized_arithmetic(tech, dimms, domains, opera
             assert device.service_time(
                 profile, path=path, core_stream_bw=core_bw,
                 mlp_read=mlp_read, mlp_write=mlp_write,
+            ) == expected
+            assert device._service_time(
+                profile, path, core_bw, mlp_read, mlp_write
             ) == expected
 
     serve_all()

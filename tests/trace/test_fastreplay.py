@@ -3,7 +3,11 @@ replay → direct simulation fallback intact."""
 
 from __future__ import annotations
 
+import gc
 import pickle
+import sys
+import weakref
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.resultstore import result_to_dict
 from repro.core.experiment import ExperimentConfig, run_experiment
+from repro.memory.device import DeltaTables
 from repro.runner import run_campaign
 from repro.runner.campaign import STATUS_EXECUTED
 from repro.trace import (
@@ -22,6 +27,7 @@ from repro.trace import (
     run_with_trace,
     trace_key,
 )
+from repro.trace import store as store_module
 from repro.workloads.registry import WORKLOAD_NAMES
 
 SETTINGS = settings(max_examples=20, deadline=None)
@@ -345,3 +351,70 @@ def test_observed_replay_counts_every_kernel_event(workload, executors, cores, e
     counters = observer.registry.counters
     assert counters["sim.events_scheduled"] == events
     assert counters["sim.events_processed"] == events
+
+
+# ------------------------------------------------------- plan delta tables
+
+#: Direct results by point, shared across hypothesis examples.
+_DIRECT: dict[ExperimentConfig, dict] = {}
+
+
+def direct_result(config: ExperimentConfig) -> dict:
+    if config not in _DIRECT:
+        _DIRECT[config] = result_to_dict(run_experiment(config))
+    return _DIRECT[config]
+
+
+#: Every tier (DRAM x2 twice, Optane x4, Optane x2), two MBA levels and
+#: both sockets: tables of every (technology, DIMM count) pair, and pairs
+#: that share a technology or a DIMM count.
+FILL_POINTS = [
+    (tier, mba, socket) for tier in range(4) for mba in (10, 100) for socket in (0, 1)
+]
+
+
+@given(
+    workload=st.sampled_from(["sort", "wordcount"]),
+    order=st.permutations(FILL_POINTS),
+)
+@settings(max_examples=8, deadline=None)
+def test_plan_tables_are_fill_order_independent(workload, order):
+    """A freshly decoded trace replayed at the (tier, MBA, socket) points
+    in any order: whichever point first fills a (technology, DIMM count)
+    table with counter deltas, every replay equals ``run_experiment``."""
+    base = ExperimentConfig(workload=workload, size="tiny")
+    trace = pickle.loads(pickle.dumps(capture_for(base)))  # no plan yet
+    for tier, mba, socket in order:
+        point = base.with_options(tier=tier, mba_percent=mba, cpu_socket=socket)
+        assert result_to_dict(fast_replay_experiment(point, trace)) == direct_result(
+            point
+        ), point.describe()
+
+
+def test_plan_tables_die_with_the_decoded_trace(tmp_path, monkeypatch):
+    """The delta tables belong to the compiled plan on the decoded trace:
+    once the store's load cache evicts the trace they are collected, and
+    no module holds any."""
+    store = TraceStore(tmp_path)
+    first = ExperimentConfig(workload="sort", size="tiny")
+    second = first.with_options(workload="repartition")
+    for config in (first, second):
+        _, trace = capture_experiment(config)
+        store.save(config, trace)
+    monkeypatch.setattr(store_module, "_LOAD_CACHE", OrderedDict())
+    monkeypatch.setattr(store_module, "_LOAD_CACHE_BYTES", 1)  # one trace at a time
+
+    trace = store.load(first)
+    for tier in (0, 2, 3):
+        point = first.with_options(tier=tier)
+        assert result_to_dict(fast_replay_experiment(point, trace)) == direct_result(point)
+    tables = trace._replay_plan[1].deltas
+    assert isinstance(tables, DeltaTables) and tables._tables
+    dead = weakref.ref(tables)
+    del trace, tables
+    assert store.load(second) is not None  # evicts the first trace
+    gc.collect()
+    assert dead() is None
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro"):
+            assert not any(isinstance(v, DeltaTables) for v in vars(module).values()), name

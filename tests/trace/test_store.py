@@ -5,7 +5,9 @@ from __future__ import annotations
 import gzip
 import os
 import pickle
+import time
 from collections import OrderedDict
+from pathlib import Path
 
 from repro.analysis.resultstore import result_to_dict
 from repro.core.experiment import ExperimentConfig, run_experiment
@@ -176,7 +178,7 @@ def test_load_cache_is_bounded_by_artifact_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(store_module, "_LOAD_CACHE_BYTES", 2 * nbytes)
 
     def held():
-        return [id(loaded) for loaded, _ in store_module._LOAD_CACHE.values()]
+        return [id(entry.trace) for entry in store_module._LOAD_CACHE.values()]
 
     a, b = store.load(configs[0]), store.load(configs[1])
     assert store.load(configs[0]) is a  # a is now the most recent
@@ -191,3 +193,160 @@ def test_load_cache_is_bounded_by_artifact_bytes(tmp_path, monkeypatch):
     newest = store.load(configs[0])
     assert held() == [id(newest)]
     assert store.load(configs[0]) is newest
+
+
+# ------------------------------------------------------------ settled hits
+
+def _counting_reads(monkeypatch) -> list:
+    """Record every ``Path.read_bytes`` call."""
+    reads = []
+    real = Path.read_bytes
+    monkeypatch.setattr(
+        Path, "read_bytes", lambda self: reads.append(self) or real(self)
+    )
+    return reads
+
+
+def _after_settling(path) -> int:
+    """A clock reading past the settle margin of ``path``'s last change."""
+    stat = path.stat()
+    return max(stat.st_mtime_ns, stat.st_ctime_ns) + store_module._SETTLE_NS + 1
+
+
+def _wait_for_a_later_ctime(path, probe) -> None:
+    """Block until the filesystem stamps a ctime later than ``path``'s.
+
+    A read settles an entry only more than the margin after the
+    artifact's ctime, so any later write lands at a later ctime.  The
+    injected clock skips that wait; this waits out the filesystem's
+    timestamp granularity instead (a few milliseconds), so the rewrite
+    below is stamped as it would be in real time.
+    """
+    before = path.stat().st_ctime_ns
+    for _ in range(5000):
+        probe.write_bytes(b"")
+        if probe.stat().st_ctime_ns > before:
+            return
+        time.sleep(0.001)
+    raise AssertionError("filesystem ctime never advanced")
+
+
+def test_settled_hit_reads_no_bytes_and_a_later_rewrite_is_served_fresh(
+    tmp_path, monkeypatch
+):
+    """Once an artifact was read and digested past the settle margin, an
+    equal stat signature serves its trace without reading the file.  An
+    in-place rewrite after that (same size, mtime restored) still moves
+    ctime, so the next load reads, digests and decodes the new bytes."""
+    config = ExperimentConfig(workload="sort", size="tiny", tier=0)
+    store = TraceStore(tmp_path / "traces")
+    original = make_trace(config)
+    replacement = make_trace(config)
+    replacement.jobs[-1].task_sets[0].floats["compute_ops"][0] += 1.0
+    replacement.seal()
+    payload_a = gzip.compress(pickle.dumps(original), compresslevel=0)
+    payload_b = gzip.compress(pickle.dumps(replacement), compresslevel=0)
+    assert len(payload_a) == len(payload_b)
+
+    path = store.path_for(config)
+    path.write_bytes(payload_a)
+    monkeypatch.setattr(store_module, "_LOAD_CACHE", OrderedDict())
+    monkeypatch.setattr(store_module, "_clock_ns", lambda: _after_settling(path))
+    store_module.reset_stats()
+    reads = _counting_reads(monkeypatch)
+
+    first = store.load(config)  # read, digested and decoded: settled
+    assert first is not None and len(reads) == 1
+    assert store.load(config) is first
+    assert store.load(config) is first
+    assert len(reads) == 1  # the settled hits read no byte
+    assert store_module.stats()["settled_hits"] == 2
+
+    stat = path.stat()
+    _wait_for_a_later_ctime(path, tmp_path / "probe")
+    path.write_bytes(payload_b)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+
+    fresh = store.load(config)
+    assert fresh is not None and fresh is not first
+    assert fresh.checksum == replacement.checksum != original.checksum
+    assert len(reads) == 2
+    assert store_module.stats()["decodes"] == 2
+
+
+def test_loads_within_the_margin_are_reverified(tmp_path, monkeypatch):
+    """A load starting within the margin of the artifact's last change
+    reads and digests it every time; one past the margin settles the
+    entry, and the next equal-signature load is a settled hit."""
+    config = ExperimentConfig(workload="sort", size="tiny", tier=0)
+    store = TraceStore(tmp_path)
+    store.save(config, make_trace(config))
+    path = store.path_for(config)
+    settle_at = _after_settling(path)
+    clock = [settle_at - 1_000_000]  # 1 ms short of settling
+    monkeypatch.setattr(store_module, "_LOAD_CACHE", OrderedDict())
+    monkeypatch.setattr(store_module, "_clock_ns", lambda: clock[0])
+    store_module.reset_stats()
+    reads = _counting_reads(monkeypatch)
+
+    first = store.load(config)
+    assert store.load(config) is first and store.load(config) is first
+    assert len(reads) == 3
+    clock[0] = settle_at
+    assert store.load(config) is first  # re-verified, now settled
+    assert store.load(config) is first
+    assert len(reads) == 4
+    counts = store_module.stats()
+    assert (counts["decodes"], counts["verified_hits"], counts["settled_hits"]) == (1, 3, 1)
+
+
+def test_every_load_outcome_is_counted(tmp_path, monkeypatch):
+    """``stats()`` counts each load once, by outcome: a miss by reason
+    (missing, corrupt, version skew, checksum), a decode, or a hit
+    (re-verified or settled)."""
+    config = ExperimentConfig(workload="sort", size="tiny", tier=0)
+    store = TraceStore(tmp_path)
+    path = store.path_for(config)
+    monkeypatch.setattr(store_module, "_LOAD_CACHE", OrderedDict())
+    store_module.reset_stats()
+    outcomes = {}
+
+    def load_counts(expected):
+        before = store_module.stats()
+        loaded = store.load(config)
+        after = store_module.stats()
+        changed = {k: after[k] - before[k] for k in after if after[k] != before[k]}
+        assert changed == {expected: 1}, changed
+        outcomes[expected] = True
+        return loaded
+
+    assert load_counts("missing") is None
+    path.write_bytes(b"not a gzip stream")
+    assert load_counts("corrupt") is None
+    path.write_bytes(gzip.compress(pickle.dumps({"not": "a trace"})))
+    assert load_counts("corrupt") is None
+
+    skewed = make_trace(config)
+    skewed.engine_version = "0-older-engine"
+    store.save(config, skewed.seal())
+    assert load_counts("version_skew") is None
+
+    tampered = make_trace(config)
+    tampered.jobs[-1].task_sets[0].floats["compute_ops"][0] += 1.0  # post-seal
+    store.save(config, tampered)
+    assert load_counts("checksum") is None
+
+    store.save(config, make_trace(config))
+    clock = [0]
+    monkeypatch.setattr(store_module, "_clock_ns", lambda: clock[0])
+    trace = load_counts("decodes")
+    assert trace is not None
+    assert load_counts("verified_hits") is trace
+    clock[0] = _after_settling(path)
+    assert load_counts("verified_hits") is trace  # settles the entry
+    assert load_counts("settled_hits") is trace
+
+    assert set(outcomes) == set(store_module.stats())
+    assert sum(store_module.stats().values()) == 9
