@@ -3,7 +3,7 @@
 One :class:`StructuredLog` writes newline-delimited JSON events, each a
 flat object with a ``ts`` (monotonic-ish wall clock), ``level``,
 ``event`` name, and whatever correlation fields the emitting layer
-bound — ``job``, ``span``, ``client``, ``config``, ``wave``...  Layers
+bound — ``job``, ``span``, ``client``, ``config``, ``component``...  Layers
 never pass correlation explicitly per call: they :meth:`bind` once and
 log through the returned child, so the service can bind ``job=...`` at
 admission and every downstream line carries it.

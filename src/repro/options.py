@@ -125,19 +125,6 @@ class RunOptions:
             return Path(self.cache_dir) / "datasets"
         return None
 
-    def runner_kwargs(self) -> dict[str, t.Any]:
-        """The :class:`repro.runner.CampaignRunner` constructor view."""
-        return {
-            "workers": self.workers,
-            "cache_dir": self.cache_dir,
-            "resume": self.resume,
-            "reuse_traces": self.reuse_traces,
-            "dataset_cache": self.dataset_cache,
-            "trace_dir": self.trace_dir,
-            "dataset_dir": self.dataset_dir,
-            "observe": self.observe,
-        }
-
 
 #: Field names of :class:`RunOptions`, in declaration order.
 OPTION_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(RunOptions))

@@ -2,7 +2,7 @@
 
 The engine is *not* permanently hooked: profiling installs timed
 wrappers over a fixed table of hot attachment points (the sim kernel's
-event dispatch, RDD evaluation, the shuffle writer/reader, the memory
+dispatch loop, RDD evaluation, the shuffle writer/reader, the memory
 model's service/record pair, record-size sampling and dataset
 generation) and restores the original functions afterwards.  With no
 profile active the engine runs the exact original code objects, so the
@@ -22,11 +22,8 @@ from repro.perf.profiler import PerfProfile
 #: modules that import the function by name are listed separately so
 #: their call sites see the wrapper too.
 _TARGETS: tuple[tuple[str, str | None, str, str], ...] = (
-    ("repro.sim.core", "Environment", "step", "sim.kernel"),
-    # Patching ``step`` disables the batched drain (``run`` detects the
-    # wrapper and falls back to one-step-per-event), so under a profile
-    # ``run``'s exclusive time is the dispatch-loop overhead the batch
-    # path exists to remove.
+    # ``run`` is the kernel's one dispatch loop; its exclusive time is
+    # the loop plus process code under no other span.
     ("repro.sim.core", "Environment", "run", "sim.dispatch"),
     ("repro.spark.executor", "Executor", "_evaluate", "rdd.compute"),
     ("repro.spark.executor", "Executor", "_write_shuffle_output", "spark.shuffle"),

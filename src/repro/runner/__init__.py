@@ -4,8 +4,9 @@ The paper's figures are all grids of independent experiment points;
 this package turns "run this iterable of configs" into a supervised,
 process-parallel, content-addressed-cached campaign.
 
-- :mod:`repro.runner.campaign` — :class:`CampaignRunner` (process pool,
-  deterministic ordering, per-point failure capture, progress/ETA).
+- :mod:`repro.runner.campaign` — :class:`CampaignRunner` (serial loop,
+  or pooled through an in-process experiment service; deterministic
+  ordering, per-point failure capture, progress/ETA).
 - :mod:`repro.runner.cache` — :class:`ResultCache`, the durable
   JSON-lines cache keyed by config hash that makes campaigns resumable.
 - :mod:`repro.runner.hashing` — :func:`config_hash`, the stable

@@ -27,25 +27,29 @@ this module exploits:
   :class:`~repro.trace.replay.ReplayDivergence` — bit-identical to
   direct simulation, several times faster.  Trace artifacts live beside
   the result cache (``<cache_dir>/traces/``);
-- **one pool** — with ``workers > 1`` the runner keeps its workers
-  alive across waves and campaigns.  A pooled point travels as its
-  config and the directory roots only: each worker reads trace
-  artifacts through its own :class:`~repro.trace.store.TraceStore`
-  LRU, so it decodes a behaviour class once and hits its cache for
-  every later point of that class.
+- **one scheduler** — a serial campaign runs its points in this
+  process, in submission order, and an identical config later in the
+  list takes the first copy's outcome.  With ``workers > 1`` the runner
+  sends its uncached points to an in-process
+  :class:`~repro.service.ExperimentService`, kept across campaigns,
+  whose coalescing, capture-before-replay holding and supervised pool
+  are the only pooled scheduler.  A pooled point travels as its config
+  and the directory roots only: each worker reads trace artifacts
+  through its own :class:`~repro.trace.store.TraceStore` LRU, so it
+  decodes a behaviour class once and hits its cache for every later
+  point of that class.
 """
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import tempfile
 import time
-import traceback
 import typing as t
 import weakref
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,6 +79,22 @@ _TRACE_STATUS = {
     "replayed": STATUS_REPLAYED,
     "direct": STATUS_EXECUTED,
 }
+
+#: This process's one :class:`~repro.trace.store.TraceStore` per trace
+#: root (see :func:`_trace_store`).
+_TRACE_STORES: dict[str, t.Any] = {}
+
+
+def _trace_store(root: str | Path) -> t.Any:
+    """This process's :class:`~repro.trace.store.TraceStore` over
+    ``root``, made on first use and kept, so a point does not pay for
+    the store's ``mkdir``."""
+    store = _TRACE_STORES.get(str(root))
+    if store is None:
+        from repro.trace import TraceStore
+
+        store = _TRACE_STORES[str(root)] = TraceStore(root)
+    return store
 
 
 @contextmanager
@@ -165,10 +185,10 @@ def _execute_point(
                 STATUS_EXECUTED,
             )
         else:
-            from repro.trace import TraceStore, run_with_trace
+            from repro.trace import run_with_trace
 
             result, how = run_with_trace(
-                config, TraceStore(trace_root), observer=observer
+                config, _trace_store(trace_root), observer=observer
             )
             status = _TRACE_STATUS[how]
     if observer is not None:
@@ -203,6 +223,92 @@ def _coerce_obs_config(observe: t.Any) -> "t.Any | None":
         f"observe= must be None, bool, ObsConfig or Observer, "
         f"got {type(observe).__name__}"
     )
+
+
+class RunResources:
+    """What points run under, set up once for the campaign runner's
+    serial loop and for :class:`~repro.service.ExperimentService` (a
+    pooled campaign's service runs on its runner's object): the trace,
+    dataset and observability roots (the configured directory, else one
+    under ``cache_dir``, else a temporary directory :meth:`open` makes
+    and :meth:`close` removes; ``None`` when that feature is off), the
+    one :class:`~repro.runner.cache.ResultCache`, and the dataset cache
+    of points run in this process."""
+
+    def __init__(
+        self, options: RunOptions, obs: t.Any = None, prefix: str = "repro-"
+    ) -> None:
+        self.cache: ResultCache | None = None
+        if options.cache_dir is not None:
+            self.cache = ResultCache(options.cache_dir)
+            if options.resume:
+                self.cache.load()
+            else:
+                self.cache.clear()
+        self.trace_root: Path | None = options.trace_root()
+        self.dataset_root: Path | None = options.dataset_root()
+        self.obs_dir: Path | None = None
+        if obs is not None and obs.artifact_dir is not None:
+            self.obs_dir = Path(obs.artifact_dir)
+        elif obs is not None and options.cache_dir is not None:
+            self.obs_dir = Path(options.cache_dir) / "obs"
+        #: Roots no directory was given for: attribute name -> prefix of
+        #: the temporary directory :meth:`open` makes for it.
+        self._temp_roots = {
+            attr: f"{prefix}{name}-"
+            for attr, name, wanted in (
+                ("trace_root", "traces", options.reuse_traces),
+                ("dataset_root", "datasets", options.dataset_cache),
+                ("obs_dir", "obs", obs is not None),
+            )
+            if wanted and getattr(self, attr) is None
+        }
+        self._tmp: dict[str, tempfile.TemporaryDirectory] = {}
+        self.open()
+
+    def open(self) -> None:
+        """Give every root without a directory a fresh temporary one,
+        unless it still has the one made since the last :meth:`close`."""
+        for attr, prefix in self._temp_roots.items():
+            if attr not in self._tmp:
+                self._tmp[attr] = tempfile.TemporaryDirectory(prefix=prefix)
+                setattr(self, attr, Path(self._tmp[attr].name))
+        #: ``(trace_root, obs_dir, dataset_root)`` as
+        #: :func:`_execute_point` takes them.
+        self.roots = tuple(
+            None if root is None else str(root)
+            for root in (self.trace_root, self.obs_dir, self.dataset_root)
+        )
+
+    @contextmanager
+    def datasets_installed(self) -> t.Iterator[None]:
+        """Install the dataset cache on :attr:`dataset_root` while points
+        run in this process, and the caller's cache again afterwards."""
+        if self.dataset_root is None:
+            yield
+            return
+        from repro.workloads import datacache
+
+        previous = datacache.active()
+        datacache.configure(self.dataset_root)
+        try:
+            yield
+        finally:
+            datacache.configure(None if previous is None else previous.root)
+
+    def close(self) -> None:
+        """Detach the dataset cache if this object's is installed (jobs
+        run on a service's worker thread install it), then remove the
+        temporary directories.  Idempotent; :meth:`open` makes new ones."""
+        if self.dataset_root is not None:
+            from repro.workloads import datacache
+
+            active = datacache.active()
+            if active is not None and str(active.root) == str(self.dataset_root):
+                datacache.deactivate()
+        for tmp in self._tmp.values():
+            tmp.cleanup()
+        self._tmp.clear()
 
 
 @dataclass
@@ -326,29 +432,48 @@ class CampaignError(RuntimeError):
     """A campaign point failed and the caller demanded completeness."""
 
 
+#: Pooled job status → campaign point status (the rest are the same).
+_JOB_STATUS = {"coalesced": STATUS_DEDUPED}
+
+
+def _drive(loop: asyncio.AbstractEventLoop, coro: t.Awaitable[t.Any]) -> t.Any:
+    """Run ``coro`` to completion on the runner's ``loop``: in this
+    thread, or on a helper thread when this one already runs an event
+    loop (a notebook, an async application)."""
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        return loop.run_until_complete(coro)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        return helper.submit(loop.run_until_complete, coro).result()
+
+
 def _close_resources(resources: dict) -> None:
-    """Tear down a runner's persistent pool and temporary directories.
+    """Shut a runner's service down and remove its temporary directories.
 
     Module-level so ``weakref.finalize`` can invoke it after the runner
     is gone, even when ``close()`` was never called.
     """
-    pool = resources.pop("pool", None)
-    if pool is not None:
-        pool.shutdown(wait=True, cancel_futures=True)
+    held = resources.pop("service", None)
+    if held is not None:
+        service, loop = held
+        _drive(loop, service.shutdown(cancel_queued=True))
+        loop.close()
     # Last: with the pool gone, no worker writes to these any more.
-    for tmp in resources.pop("tmp", {}).values():
-        tmp.cleanup()
+    resources["run"].close()
 
 
 class CampaignRunner:
-    """Supervises one pool of workers across any number of campaigns.
+    """Runs any number of campaigns on one set of resources.
 
-    The pool is created lazily on the first parallel wave and *persists*
-    across waves and across :meth:`run` calls — replay-heavy campaigns
-    stop paying process spawn + interpreter warmup per wave.  Call
-    :meth:`close` (or use the runner as a context manager) to release
-    the pool and the temporary directories the runner made; a finalizer
-    does the same on garbage collection or interpreter exit.
+    The trace, dataset and observability roots, the result cache and,
+    for ``workers > 1``, an in-process
+    :class:`~repro.service.ExperimentService` with its process pool
+    *persist* across :meth:`run` calls — replay-heavy campaigns stop
+    paying process spawn + interpreter warmup per campaign.  Call
+    :meth:`close` (or use the runner as a context manager) to shut the
+    service down and remove the temporary directories the runner made;
+    a finalizer does the same on garbage collection or interpreter exit.
 
     Parameters
     ----------
@@ -415,69 +540,45 @@ class CampaignRunner:
         dataset_cache: bool = True,
         dataset_dir: str | Path | None = None,
     ) -> None:
-        if options is not None:
-            # One RunOptions overrides the individual knobs — the path
-            # api.sweep/campaign and Session take (docs/API.md).
-            kw = options.runner_kwargs()
-            workers = kw["workers"]
-            cache_dir = kw["cache_dir"]
-            resume = kw["resume"]
-            reuse_traces = kw["reuse_traces"]
-            dataset_cache = kw["dataset_cache"]
-            trace_dir = kw["trace_dir"]
-            dataset_dir = kw["dataset_dir"]
-            observe = kw["observe"]
-        if workers is not None and workers < 0:
-            raise ValueError("workers must be >= 0")
-        self.workers = workers or 0
-        #: Lazily-created persistent resources: "pool" (the process
-        #: pool) and "tmp" (the temporary directories below, by
-        #: attribute name).  Held in a plain dict so the exit finalizer
-        #: can release them without keeping the runner itself alive.
-        self._resources: dict[str, t.Any] = {}
+        # One RunOptions, when given, overrides the individual knobs —
+        # the path api.sweep/campaign and Session take (docs/API.md).
+        if options is None:
+            options = RunOptions(
+                workers=workers,
+                cache_dir=cache_dir,
+                resume=resume,
+                reuse_traces=reuse_traces,
+                trace_dir=trace_dir,
+                observe=observe,
+                dataset_cache=dataset_cache,
+                dataset_dir=dataset_dir,
+            )
+        self.workers = options.workers or 0
+        self.progress = progress
+        self.obs = _coerce_obs_config(options.observe)
+        #: What pooled campaigns hand the service: without ``observe``,
+        #: so the campaign's merge alone writes the observation outputs
+        #: (per-point artifacts still go to :attr:`obs_dir`).
+        self._options = options.with_options(observe=None)
+        #: Everything the runner holds open: "run" (its
+        #: :class:`RunResources`) and, once a pooled campaign ran,
+        #: "service" (the service and its event loop).  Held in a plain
+        #: dict so the exit finalizer can release them without keeping
+        #: the runner itself alive.
+        self._resources: dict[str, t.Any] = {
+            "run": RunResources(self._options, self.obs)
+        }
         self._closer = weakref.finalize(
             self, _close_resources, self._resources
         )
         #: Resolved points of the running campaign, by status — the
         #: running counts progress snapshots are built from.
         self._resolved: Counter[str] = Counter()
-        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        if self.cache is not None:
-            if resume:
-                self.cache.load()
-            else:
-                self.cache.clear()
-        self.progress = progress
-        #: Roots no directory was given for: attribute name -> prefix
-        #: of the temporary directory the runner makes for it (see
-        #: :meth:`_make_temp_roots`).
-        self._temp_roots: dict[str, str] = {}
-        if not reuse_traces:
-            self.trace_root: Path | None = None
-        elif trace_dir is not None:
-            self.trace_root = Path(trace_dir)
-        elif cache_dir is not None:
-            self.trace_root = Path(cache_dir) / "traces"
-        else:
-            self._temp_roots["trace_root"] = "repro-traces-"
-        if not dataset_cache:
-            self.dataset_root: Path | None = None
-        elif dataset_dir is not None:
-            self.dataset_root = Path(dataset_dir)
-        elif cache_dir is not None:
-            self.dataset_root = Path(cache_dir) / "datasets"
-        else:
-            self._temp_roots["dataset_root"] = "repro-datasets-"
-        self.obs = _coerce_obs_config(observe)
-        if self.obs is None:
-            self.obs_dir: Path | None = None
-        elif self.obs.artifact_dir is not None:
-            self.obs_dir = Path(self.obs.artifact_dir)
-        elif cache_dir is not None:
-            self.obs_dir = Path(cache_dir) / "obs"
-        else:
-            self._temp_roots["obs_dir"] = "repro-obs-"
-        self._make_temp_roots()
+
+    cache = property(lambda self: self._resources["run"].cache)
+    trace_root = property(lambda self: self._resources["run"].trace_root)
+    dataset_root = property(lambda self: self._resources["run"].dataset_root)
+    obs_dir = property(lambda self: self._resources["run"].obs_dir)
 
     # ------------------------------------------------------------------ public
     def run(self, configs: t.Iterable[ExperimentConfig]) -> CampaignReport:
@@ -492,29 +593,20 @@ class CampaignRunner:
         ]
         report = CampaignReport(points=points)
         started = time.monotonic()
-        self._make_temp_roots()
+        self._resources["run"].open()
 
         pending = self._resolve_cached(points)
-        primaries, aliases = self._deduplicate(pending)
         self._resolved = Counter({STATUS_CACHED: len(points) - len(pending)})
         self._emit_progress(report, started)
 
-        if primaries:
+        if pending:
+            if self.workers > 1:
+                self._run_pooled(pending, report, started)
+            else:
+                self._run_serial(pending, report, started)
             from repro.obs.log import get_log
 
             log = get_log().bind(component="campaign")
-            for number, wave in enumerate(self._plan_waves(primaries), 1):
-                log.info(
-                    "campaign.wave",
-                    wave=number,
-                    points=len(wave),
-                    workers=self.workers,
-                )
-                if self.workers > 1:
-                    self._run_pool(wave, report, started)
-                else:
-                    self._run_serial(wave, report, started)
-            self._resolve_aliases(aliases, report, started)
             for point in report.failures:
                 log.error(
                     "campaign.point_failed",
@@ -528,26 +620,17 @@ class CampaignRunner:
         return report
 
     def close(self) -> None:
-        """Release the persistent pool and remove the runner's
+        """Shut the pooled runs' service down and remove the runner's
         temporary directories.
 
-        Idempotent, and the runner stays usable — the pool is recreated
-        lazily on the next parallel campaign, and the next :meth:`run`
-        makes fresh temporary directories (so traces and datasets kept
-        there are made again).  ``run_campaign`` calls this
-        automatically; long-lived runners (sessions, notebooks) should
-        call it when done or use the runner as a context manager.
+        Idempotent, and the runner stays usable — the service is
+        started again on the next parallel campaign, and the next
+        :meth:`run` makes fresh temporary directories (so traces and
+        datasets kept there are made again).  ``run_campaign`` calls
+        this automatically; long-lived runners (sessions, notebooks)
+        should call it when done or use the runner as a context manager.
         """
         _close_resources(self._resources)
-
-    def _make_temp_roots(self) -> None:
-        """Give every root without a directory a fresh temporary one,
-        unless it still has the one made since the last :meth:`close`."""
-        owned = self._resources.setdefault("tmp", {})
-        for attr, prefix in self._temp_roots.items():
-            if attr not in owned:
-                owned[attr] = tempfile.TemporaryDirectory(prefix=prefix)
-                setattr(self, attr, Path(owned[attr].name))
 
     def __enter__(self) -> "CampaignRunner":
         return self
@@ -570,160 +653,91 @@ class CampaignRunner:
                 pending.append(point)
         return pending
 
-    def _deduplicate(
-        self, pending: list[CampaignPoint]
-    ) -> tuple[list[CampaignPoint], dict[int, CampaignPoint]]:
-        """Identical configs execute once; later copies alias the first."""
-        primaries: list[CampaignPoint] = []
-        first_by_key: dict[str, CampaignPoint] = {}
-        aliases: dict[int, CampaignPoint] = {}
-        for point in pending:
-            key = config_hash(point.config)
-            primary = first_by_key.get(key)
-            if primary is None:
-                first_by_key[key] = point
-                primaries.append(point)
-            else:
-                aliases[point.index] = primary
-        return primaries, aliases
-
-    def _plan_waves(
-        self, primaries: list[CampaignPoint]
-    ) -> list[list[CampaignPoint]]:
-        """Order points so trace captures land before their replays.
-
-        Wave 1 holds one representative per behaviour class still
-        missing a trace artifact (it captures while running) plus every
-        non-replayable point; wave 2 holds the rest, which replay the
-        artifacts wave 1 just wrote.  Without trace reuse there is a
-        single wave.  Waves only affect scheduling — results are
-        value-identical either way.
-        """
-        if self.trace_root is None:
-            return [primaries]
-        from repro.trace import TraceStore, is_replayable_config, trace_key
-
-        store = TraceStore(self.trace_root)
-        lead: list[CampaignPoint] = []
-        follow: list[CampaignPoint] = []
-        capturing: set[str] = set()
-        for point in primaries:
-            replayable, _ = is_replayable_config(point.config)
-            if not replayable:
-                lead.append(point)
-                continue
-            key = trace_key(point.config)
-            if key in capturing or store.exists(point.config):
-                follow.append(point)
-            else:
-                capturing.add(key)
-                lead.append(point)
-        return [wave for wave in (lead, follow) if wave]
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        pool = self._resources.get("pool")
-        if pool is None:
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-            self._resources["pool"] = pool
-        return pool
-
     def _run_serial(
         self,
-        primaries: list[CampaignPoint],
+        pending: list[CampaignPoint],
         report: CampaignReport,
         started: float,
     ) -> None:
-        trace_root = None if self.trace_root is None else str(self.trace_root)
-        obs_dir = None if self.obs_dir is None else str(self.obs_dir)
-        dataset_root = (
-            None if self.dataset_root is None else str(self.dataset_root)
-        )
-        # Serial points execute in *this* process; remember the caller's
-        # dataset cache (if any) so running a campaign never leaves the
-        # runner's — possibly temporary — cache installed afterwards.
-        from repro.workloads import datacache
-
-        prev_cache = datacache.active()
-        try:
-            for point in primaries:
-                try:
-                    result, status = _execute_point(
-                        point.config,
-                        trace_root,
-                        obs_dir,
-                        dataset_root,
+        """Run the points in this process, in submission order: the
+        first point of a behaviour class captures its trace and later
+        ones replay it, and a repeated config takes the first copy's
+        result (``deduped``) or error."""
+        resources = self._resources["run"]
+        first: dict[str, CampaignPoint] = {}
+        with resources.datasets_installed():
+            for point in pending:
+                primary = first.setdefault(config_hash(point.config), point)
+                if primary is not point:
+                    point.result, point.error = primary.result, primary.error
+                    point.status = (
+                        STATUS_FAILED if primary.error else STATUS_DEDUPED
                     )
-                    self._record(point, result, status)
-                except Exception as exc:  # noqa: BLE001 - point isolation
-                    point.error = f"{type(exc).__name__}: {exc}"
-                    point.status = STATUS_FAILED
-                self._emit_progress(report, started, point)
-        finally:
-            if dataset_root is not None:
-                datacache.configure(
-                    None if prev_cache is None else prev_cache.root
-                )
-
-    def _run_pool(
-        self,
-        primaries: list[CampaignPoint],
-        report: CampaignReport,
-        started: float,
-    ) -> None:
-        trace_root = None if self.trace_root is None else str(self.trace_root)
-        obs_dir = None if self.obs_dir is None else str(self.obs_dir)
-        dataset_root = (
-            None if self.dataset_root is None else str(self.dataset_root)
-        )
-        pool = self._ensure_pool()
-        broken = False
-        futures: dict[Future, CampaignPoint] = {
-            pool.submit(
-                _execute_point,
-                point.config,
-                trace_root,
-                obs_dir,
-                dataset_root,
-            ): point
-            for point in primaries
-        }
-        outstanding = set(futures)
-        while outstanding:
-            done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
-            for future in done:
-                point = futures[future]
-                exc = future.exception()
-                if exc is not None:
-                    broken = broken or isinstance(exc, BrokenProcessPool)
-                    point.error = self._format_error(exc)
-                    point.status = STATUS_FAILED
                 else:
-                    result, status = future.result()
-                    self._record(point, result, status)
+                    try:
+                        point.result, point.status = _execute_point(
+                            point.config, *resources.roots
+                        )
+                        if self.cache is not None:
+                            self.cache.put(point.config, point.result)
+                    except Exception as exc:  # noqa: BLE001 - point isolation
+                        point.error = f"{type(exc).__name__}: {exc}"
+                        point.status = STATUS_FAILED
                 self._emit_progress(report, started, point)
-        if broken:
-            # A worker died hard; the executor is permanently broken.
-            # Drop it so the next wave gets a fresh pool instead of
-            # failing every submission.
-            pool = self._resources.pop("pool", None)
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
 
-    def _resolve_aliases(
+    def _run_pooled(
         self,
-        aliases: dict[int, CampaignPoint],
+        pending: list[CampaignPoint],
         report: CampaignReport,
         started: float,
     ) -> None:
-        for index, primary in aliases.items():
-            point = report.points[index]
-            if primary.result is not None:
-                point.result = primary.result
-                point.status = STATUS_DEDUPED
-            else:
-                point.error = primary.error
-                point.status = STATUS_FAILED
-            self._emit_progress(report, started, point)
+        """Submit the points to the runner's service at once and record
+        each as its job resolves.  The service coalesces repeated
+        configs, holds a behaviour class's later points until its
+        capture lands, writes the result cache and replaces a pool that
+        lost a worker (failing only the jobs in flight on it)."""
+        service, loop = self._service()
+
+        async def campaign() -> None:
+            resolved: asyncio.Queue = asyncio.Queue()
+
+            def hand_back(job: t.Any, point: CampaignPoint) -> None:
+                service.jobs.pop(job.id, None)  # a kept runner holds no jobs
+                resolved.put_nowait((job, point))
+
+            # Admit the whole campaign: no submission may be refused.
+            limit = len(pending) + int(service.summary()["active"])
+            service.max_queue = service.max_inflight_per_client = limit
+            for point in pending:
+                job = await service.submit(point.config, client="campaign")
+                job.future.add_done_callback(
+                    lambda _, job=job, point=point: hand_back(job, point)
+                )
+            for _ in pending:
+                job, point = await resolved.get()
+                if job.error is None:
+                    point.result = job.future.result()
+                    point.status = _JOB_STATUS.get(job.status, job.status)
+                else:
+                    point.error = job.error
+                    point.status = STATUS_FAILED
+                self._emit_progress(report, started, point)
+
+        _drive(loop, campaign())
+
+    def _service(self) -> tuple[t.Any, asyncio.AbstractEventLoop]:
+        """The pooled runs' service and the event loop it runs on, made
+        on first use and kept until :meth:`close`.  It runs on the
+        runner's :class:`RunResources`."""
+        held = self._resources.get("service")
+        if held is None:
+            from repro.service import ExperimentService
+
+            service = ExperimentService(self._options, heartbeat=0)
+            service._resources = self._resources["run"]
+            held = self._resources["service"] = (service, asyncio.new_event_loop())
+            _drive(held[1], service.start())
+        return held
 
     def _export_observability(self, report: CampaignReport) -> None:
         """Merge per-point artifacts into the campaign-level outputs.
@@ -780,24 +794,6 @@ class CampaignRunner:
             report.artifacts["metrics"] = str(Path(self.obs.metrics_path))
 
     # --------------------------------------------------------------- helpers
-    def _record(
-        self,
-        point: CampaignPoint,
-        result: ExperimentResult,
-        status: str = STATUS_EXECUTED,
-    ) -> None:
-        point.result = result
-        point.status = status
-        if self.cache is not None:
-            self.cache.put(point.config, result)
-
-    @staticmethod
-    def _format_error(exc: BaseException) -> str:
-        detail = "".join(
-            traceback.format_exception_only(type(exc), exc)
-        ).strip()
-        return detail or type(exc).__name__
-
     def _emit_progress(
         self,
         report: CampaignReport,

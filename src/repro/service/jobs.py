@@ -121,6 +121,9 @@ class Job:
         self.config = config
         #: ``runner.hashing.config_hash`` — the coalescing identity.
         self.key = key
+        #: ``trace.store.trace_key`` of a queued job that captures or
+        #: replays, set once at admission; ``None`` otherwise.
+        self.trace_key: str | None = None
         self.client = client
         self.priority = priority
         #: Arrival order; the FIFO tiebreak within (client, priority).

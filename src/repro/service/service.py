@@ -1,10 +1,10 @@
 """The asyncio experiment service.
 
 One :class:`ExperimentService` multiplexes many concurrent submitters
-onto one shared worker pool — the long-lived form of the one-shot
-campaign runner.  Where a campaign plans a *known* point set up front
-(cache pass → dedup → capture wave → replay wave), the service makes
-the same decisions *online*, per submission:
+onto one shared worker pool.  It is the only pooled scheduler: a
+campaign runner with ``workers > 1`` submits its uncached points to an
+in-process service.  The service makes its decisions *online*, per
+submission:
 
 - **admission** — a bounded ready queue (``max_queue``) and a
   per-client in-flight cap (``max_inflight_per_client``); a rejected
@@ -12,20 +12,23 @@ the same decisions *online*, per submission:
   immediately instead of queueing unboundedly;
 - **coalescing** — a submission whose
   :func:`~repro.runner.hashing.config_hash` matches an in-flight job
-  attaches to that job's future (the campaign runner's ``_deduplicate``,
-  online); one whose hash is in the result cache resolves instantly;
+  attaches to that job's future; one whose hash is in the result cache
+  resolves instantly;
 - **scheduling** — strict priority first, then fair share (the queued
   client served least recently wins), then arrival order; replay-aware:
   the first job of a behaviour class *captures* its trace while later
-  jobs of the class are held and then *replay* it (the campaign
-  runner's two-wave plan, online) through the micro-kernel re-timer.
-  A dispatched job carries only its config and the directory roots;
-  each pool worker reads the artifact through its own
+  jobs of the class are held and then *replay* it through the
+  micro-kernel re-timer.  Each job's trace key is computed once, at
+  admission.  A dispatched job carries only its config and the
+  directory roots; each pool worker reads the artifact through its own
   :class:`~repro.trace.store.TraceStore` LRU, decoding a class once;
-- **worker supervision** — when a pool worker dies (OOM kill, signal)
-  the pool is replaced by a fresh one of the same width: only the jobs
-  in flight on the dead pool fail, and later jobs run on the new one
-  (counted in ``service.pool_restarts``);
+- **worker supervision** — a process pool keeps
+  :data:`INFLIGHT_PER_WORKER` jobs in flight per worker, so a worker
+  starts its next job without waiting on the loop.  When a worker dies
+  (OOM kill, signal) the pool is replaced by a fresh one of the same
+  width: only the jobs in flight on the dead pool fail — at most
+  ``INFLIGHT_PER_WORKER × workers`` — and later jobs run on the new
+  one (counted in ``service.pool_restarts``);
 - **events & observability** — every job streams
   ``queued → coalesced/started → progress → done/failed`` events, and
   the service keeps a :class:`~repro.obs.MetricsRegistry` (queue depth,
@@ -42,10 +45,14 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-import tempfile
 import time
 import typing as t
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from concurrent.futures.process import BrokenProcessPool
 from itertools import count
 from pathlib import Path
@@ -53,8 +60,12 @@ from pathlib import Path
 from repro.core.experiment import ExperimentConfig
 from repro.obs.registry import labeled_name
 from repro.options import RunOptions
-from repro.runner.campaign import _coerce_obs_config, _execute_point
-from repro.runner.cache import ResultCache
+from repro.runner.campaign import (
+    RunResources,
+    _coerce_obs_config,
+    _execute_point,
+    _trace_store,
+)
 from repro.runner.hashing import config_hash
 from repro.service.jobs import (
     CANCELLED,
@@ -74,6 +85,13 @@ from repro.service.jobs import (
 
 #: A client name used when submitters do not identify themselves.
 DEFAULT_CLIENT = "default"
+
+#: Jobs a process pool keeps in flight per worker: one running and
+#: three waiting in the pool, so a worker finishing short replays does
+#: not wait for the loop to hand it the next job.  A dead worker breaks
+#: the pool and fails every job in flight on it, so one death fails at
+#: most this many jobs per worker.
+INFLIGHT_PER_WORKER = 4
 
 #: Label names of the ``device.*`` series, in the order of the identity
 #: tuple ``_fold_result_metrics`` builds per DIMM.
@@ -162,7 +180,8 @@ class ExperimentService:
         self._closed = False
         self._loop: asyncio.AbstractEventLoop | None = None
         self._executor: Executor | None = None
-        self._slots = max(1, self.options.workers or 1)
+        workers = self.options.workers or 0
+        self._slots = INFLIGHT_PER_WORKER * workers if workers > 1 else 1
         self._job_ids = count(1)
         self._seq = count()
         self._dispatch_seq = count()
@@ -178,6 +197,9 @@ class ExperimentService:
         self._capturing: dict[str, Job] = {}
         #: trace_key → jobs held until the capture lands.
         self._held: dict[str, list[Job]] = {}
+        #: trace keys whose artifact was found on disk: their jobs
+        #: dispatch without another ``stat``.
+        self._traced: set[str] = set()
         #: every non-terminal job (drain waits for this to empty).
         self._active: set[Job] = set()
         #: client → its non-terminal jobs, and the active jobs in state
@@ -189,13 +211,11 @@ class ExperimentService:
         self._state_changed: asyncio.Event | None = None
         self._heartbeat_task: asyncio.Task | None = None
         # Execution resources --------------------------------------------------
-        self._cache: ResultCache | None = None
-        self._trace_tmp: tempfile.TemporaryDirectory | None = None
-        self._trace_root: Path | None = None
-        self._obs_tmp: tempfile.TemporaryDirectory | None = None
-        self._obs_dir: Path | None = None
-        self._dataset_tmp: tempfile.TemporaryDirectory | None = None
-        self._dataset_root: Path | None = None
+        #: Roots, result cache and dataset cache: made by :meth:`start`
+        #: and closed by :meth:`shutdown`, unless a campaign runner
+        #: handed its own over before :meth:`start`.
+        self._resources: RunResources | None = None
+        self._own_resources = False
         # Observability --------------------------------------------------------
         from repro.obs import FlightRecorder, MetricsRegistry, Observer
         from repro.obs.log import get_log
@@ -232,38 +252,13 @@ class ExperimentService:
         self._loop = asyncio.get_running_loop()
         self._state_changed = asyncio.Event()
         self._executor = self._new_executor()
-        if self.options.cache_dir is not None:
-            self._cache = ResultCache(self.options.cache_dir)
-            if self.options.resume:
-                self._cache.load()
-            else:
-                self._cache.clear()
-        if self.options.reuse_traces:
-            root = self.options.trace_root()
-            if root is None:
-                self._trace_tmp = tempfile.TemporaryDirectory(
-                    prefix="repro-service-traces-"
-                )
-                root = Path(self._trace_tmp.name)
-            self._trace_root = root
-        if self.options.dataset_cache:
-            dataset_root = self.options.dataset_root()
-            if dataset_root is None:
-                self._dataset_tmp = tempfile.TemporaryDirectory(
-                    prefix="repro-service-datasets-"
-                )
-                dataset_root = Path(self._dataset_tmp.name)
-            self._dataset_root = dataset_root
-        if self.observer is not None:
-            if self.observer.config.artifact_dir is not None:
-                self._obs_dir = Path(self.observer.config.artifact_dir)
-            elif self.options.cache_dir is not None:
-                self._obs_dir = Path(self.options.cache_dir) / "obs"
-            else:
-                self._obs_tmp = tempfile.TemporaryDirectory(
-                    prefix="repro-service-obs-"
-                )
-                self._obs_dir = Path(self._obs_tmp.name)
+        if self._resources is None:
+            self._resources = RunResources(
+                self.options,
+                self.observer.config if self.observer is not None else None,
+                prefix="repro-service-",
+            )
+            self._own_resources = True
         if self.heartbeat > 0:
             self._heartbeat_task = asyncio.ensure_future(self._heartbeat_loop())
         self._started = True
@@ -331,23 +326,10 @@ class ExperimentService:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._dataset_root is not None:
-            # Serial jobs execute in this process through a worker
-            # thread, so the process-wide dataset cache may point at
-            # the service's (possibly temporary) root — detach it
-            # before the directory goes away.
-            from repro.workloads import datacache
-
-            active = datacache.active()
-            if active is not None and str(active.root) == str(
-                self._dataset_root
-            ):
-                datacache.deactivate()
-            self._dataset_root = None
-        for tmp in (self._trace_tmp, self._obs_tmp, self._dataset_tmp):
-            if tmp is not None:
-                tmp.cleanup()
-        self._trace_tmp = self._obs_tmp = self._dataset_tmp = None
+        if self._own_resources:
+            self._resources.close()
+            self._resources = None
+            self._own_resources = False
         if self._started and self.observer is not None:
             # Final flush: whatever artifacts the ObsConfig asks for
             # (trace/metrics paths) are written exactly once, at the
@@ -393,7 +375,7 @@ class ExperimentService:
         self.metrics.inc("service.submitted")
         if priority is None:
             priority = self.options.priority
-        if self._client_inflight(client) >= self.max_inflight_per_client:
+        if self._inflight.get(client, 0) >= self.max_inflight_per_client:
             self.metrics.inc("service.rejected.client_limit")
             self.log.warning(
                 "service.reject", reason="client_limit", client=client
@@ -418,7 +400,8 @@ class ExperimentService:
         if primary is not None:
             self._attach_follower(job, primary)
             return job
-        cached = self._cache.get(config) if self._cache is not None else None
+        cache = self._resources.cache
+        cached = cache.get(config) if cache is not None else None
         if cached is not None:
             self.metrics.inc("service.cache_hits")
             job._emit("queued", client=client, priority=priority, key=key)
@@ -432,6 +415,7 @@ class ExperimentService:
             raise QueueFullError(
                 f"ready queue is at max_queue={self.max_queue}"
             )
+        job.trace_key = self._trace_key(config)
         self._primary[key] = job
         self._activate(job)
         heapq.heappush(
@@ -512,9 +496,6 @@ class ExperimentService:
         export_metrics_json(self.metrics, path, extra={"label": "service"})
 
     # ------------------------------------------------------------------ internals
-    def _client_inflight(self, client: str) -> int:
-        return self._inflight.get(client, 0)
-
     def _queue_depth(self) -> int:
         return self._queued
 
@@ -598,42 +579,44 @@ class ExperimentService:
             if not self._hold_for_capture(job):
                 return job
 
+    def _trace_key(self, config: ExperimentConfig) -> str | None:
+        """The behaviour class a job captures or replays, or ``None``
+        when it is simulated directly (no trace root, or timing-dependent
+        behaviour such as faults or speculation)."""
+        if self._resources.trace_root is None:
+            return None
+        from repro.trace import is_replayable_config, trace_key
+
+        replayable, _ = is_replayable_config(config)
+        return trace_key(config) if replayable else None
+
     def _hold_for_capture(self, job: Job) -> bool:
         """True if ``job`` must wait for an in-flight trace capture.
 
-        The online form of the campaign runner's two-wave plan: the
-        first job of a behaviour class captures while it runs; jobs of
-        the same class arriving before the capture lands are parked and
-        re-queued to replay it the moment it does.
+        The first job of a behaviour class captures while it runs; jobs
+        of the same class arriving before the capture lands are parked
+        and re-queued to replay it the moment it does.
         """
-        if self._trace_root is None:
+        tkey = job.trace_key
+        if tkey is None or tkey in self._traced:
             return False
-        from repro.trace import TraceStore, is_replayable_config, trace_key
-
-        replayable, _ = is_replayable_config(job.config)
-        if not replayable:
-            return False
-        tkey = trace_key(job.config)
         capturing = self._capturing.get(tkey)
         if capturing is not None and capturing is not job:
             self._held.setdefault(tkey, []).append(job)
             job._emit("progress", phase="awaiting-capture",
                       capture_job=capturing.id)
             return True
-        if not TraceStore(self._trace_root).exists(job.config):
+        if _trace_store(self._resources.trace_root).exists(job.config):
+            self._traced.add(tkey)
+        else:
             self._capturing[tkey] = job
         return False
 
     def _release_capture(self, job: Job) -> None:
         """Re-queue jobs that were parked behind ``job``'s capture."""
-        if self._trace_root is None:
+        tkey = job.trace_key
+        if tkey is None:
             return
-        from repro.trace import is_replayable_config, trace_key
-
-        replayable, _ = is_replayable_config(job.config)
-        if not replayable:
-            return
-        tkey = trace_key(job.config)
         if self._capturing.get(tkey) is job:
             del self._capturing[tkey]
         for held in self._held.pop(tkey, []):
@@ -653,44 +636,41 @@ class ExperimentService:
         self.metrics.observe("service.queue_wait_s", job.queue_wait or 0.0)
         job._emit("started", client=job.client,
                   queue_wait_s=round(job.queue_wait or 0.0, 6))
-        trace_root = None if self._trace_root is None else str(self._trace_root)
-        obs_dir = None if self._obs_dir is None else str(self._obs_dir)
+        trace_root, obs_dir, dataset_root = self._resources.roots
         args: tuple[t.Any, ...] = (job.config, trace_root, obs_dir)
         if self._execute is _execute_point:
             # The stock entry point also takes the dataset-artifact
             # root; ``execute=`` overrides keep the documented
             # 3-argument contract.
-            args += (
-                None if self._dataset_root is None else str(self._dataset_root),
-            )
+            args += (dataset_root,)
         executor = self._executor
         try:
-            pool_future = self._loop.run_in_executor(
-                executor, self._execute, *args
-            )
+            future = executor.submit(self._execute, *args)
         except BrokenProcessPool:
             # A worker died since the pool last finished a job: run
             # this one on a fresh pool.
             executor = self._replace_pool(executor)
-            pool_future = self._loop.run_in_executor(
-                executor, self._execute, *args
-            )
-        asyncio.ensure_future(self._finish(job, pool_future, executor))
+            future = executor.submit(self._execute, *args)
+        # The pool's thread hands the finished future to the loop (unless
+        # the loop was closed without a drain).
+        loop = self._loop
+        future.add_done_callback(
+            lambda done: loop.is_closed()
+            or loop.call_soon_threadsafe(self._finish, job, done, executor)
+        )
         self._set_gauges()
 
-    async def _finish(
-        self, job: Job, pool_future: "asyncio.Future", executor: Executor
-    ) -> None:
+    def _finish(self, job: Job, future: Future, executor: Executor) -> None:
         try:
-            result, status = await pool_future
+            result, status = future.result()
         except Exception as exc:  # noqa: BLE001 - per-job isolation
             if isinstance(exc, BrokenProcessPool):
                 # The job's worker died; later jobs get a fresh pool.
                 self._replace_pool(executor)
             self._fail(job, exc)
         else:
-            if self._cache is not None:
-                self._cache.put(job.config, result)
+            if self._resources.cache is not None:
+                self._resources.cache.put(job.config, result)
             self._resolve(job, result, status)
         finally:
             self._running.discard(job)
@@ -784,6 +764,7 @@ class ExperimentService:
             promoted.state = QUEUED
             self._queued += 1
             promoted.primary = None
+            promoted.trace_key = job.trace_key
             promoted.followers = [
                 f for f in job.followers if f.state == COALESCED
             ]

@@ -2,8 +2,8 @@
 
 This kernel carries no instrumentation: observed runs use
 :class:`repro.obs.simhooks.ObservedEnvironment`, a subclass that counts
-scheduled/processed events into a metrics registry while leaving this
-hot path untouched.
+scheduled events and settles the processed count when :meth:`run`
+returns, leaving the dispatch loop untouched.
 """
 
 from __future__ import annotations
@@ -152,33 +152,16 @@ class Environment:
                 return until.value
             until.callbacks.append(_stop_simulation)
 
-        if type(self).step is not _BASELINE_STEP:
-            # Instrumented kernels hook the single-event entry point —
-            # ObservedEnvironment overrides ``step`` and repro.perf
-            # swaps a timed wrapper onto this class — and the batched
-            # drain below would bypass them, so any kernel whose
-            # ``step`` is not the pristine function runs the classic
-            # one-step-per-event loop.
-            try:
-                while True:
-                    self.step()
-            except StopSimulation as stop:
-                return stop.value
-            except EmptySchedule:
-                if isinstance(until, Event) and not until.triggered:
-                    raise SimulationError(
-                        "no scheduled events left but until event was not triggered"
-                    ) from None
-                return None
-
         # Batched dispatch: drain each same-timestamp cohort in one heap
         # pass with locally-bound pop/queue instead of re-entering
         # :meth:`step` per event.  Every event still comes off the heap
         # individually, so the ``(time, priority, insertion order)``
         # tie-break — and with it every simulated value — is identical
-        # to the single-step loop; events a callback schedules at the
-        # current timestamp join their cohort exactly where the heap
-        # orders them.  Processed Timeouts whose refcount proves them
+        # to a loop of :meth:`step` calls; events a callback schedules
+        # at the current timestamp join their cohort exactly where the
+        # heap orders them.  This is the only dispatch loop: observed
+        # and profiled runs hook :meth:`schedule` and :meth:`run`, never
+        # :meth:`step`.  Processed Timeouts whose refcount proves them
         # kernel-owned (the local binding plus the getrefcount argument,
         # and Event declares no __weakref__ slot) are recycled into the
         # slab that :meth:`timeout` draws from.
@@ -221,10 +204,8 @@ class Environment:
             return None
 
 
-#: The pristine single-event dispatcher, captured at import time so
-#: :meth:`Environment.run` can tell when ``step`` has been overridden or
-#: wrapped (observability subclasses, perf instrumentation) and fall
-#: back to the loop that honours those hooks.
+#: The kernel's own single-event ``step``, kept so a caller can check
+#: that nothing has wrapped it; :meth:`Environment.run` never calls it.
 _BASELINE_STEP = Environment.step
 
 

@@ -171,7 +171,7 @@ class SparkContext:
         testbed (and the cached partitions, shuffle segments and HDFS
         blocks hanging off it) is freed by reference counting the
         moment the caller drops it, instead of lingering for the cyclic
-        collector.  Campaigns pause that collector across whole waves
+        collector.  Campaign points run with that collector paused
         (:mod:`repro.runner.campaign`), which this makes nearly free.
         """
         if self._stopped:

@@ -145,7 +145,16 @@ def trace_key(config: "ExperimentConfig") -> str:
     Configs differing only in tier/MBA/socket/label share a key (their
     traces are interchangeable); a new engine or trace-format version
     changes every key, invalidating stale artifacts wholesale.
+
+    Memoized on the config instance, like
+    :func:`~repro.runner.hashing.config_hash`; the memo travels with a
+    pickled config, so a pool worker reuses the key its job was
+    admitted with.
     """
+    versions = (ENGINE_VERSION, TRACE_FORMAT_VERSION)
+    memo = config.__dict__.get("_trace_key_memo")
+    if memo is not None and memo[0] == versions:
+        return memo[1]
     canonical = json.dumps(
         {
             "engine": ENGINE_VERSION,
@@ -155,7 +164,10 @@ def trace_key(config: "ExperimentConfig") -> str:
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    # Derived from frozen fields only, so the memo can never go stale.
+    object.__setattr__(config, "_trace_key_memo", (versions, digest))
+    return digest
 
 
 class TraceStore:
@@ -177,8 +189,10 @@ class TraceStore:
         )
 
     def save(self, config: "ExperimentConfig", trace: WorkloadTrace) -> Path:
-        """Atomically persist one sealed trace artifact."""
+        """Atomically persist one sealed trace artifact (making the root
+        again if it was removed since the store was made)."""
         target = self.path_for(config)
+        self.root.mkdir(parents=True, exist_ok=True)
         payload = gzip.compress(
             pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL), _GZIP_LEVEL
         )

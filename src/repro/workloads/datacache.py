@@ -2,7 +2,7 @@
 
 The HiBench-style ``prepare`` phase regenerates every seeded dataset
 once per *process* (``datagen``'s in-memory memo only helps within one
-interpreter).  A campaign's capture wave therefore pays full RNG
+interpreter).  A campaign's captures therefore pay full RNG
 generation per behaviour class per worker, and every fresh benchmark
 pass pays it again.  This module gives datasets the same discipline
 :class:`~repro.trace.store.TraceStore` gives traces:

@@ -84,6 +84,19 @@ def test_worker_count_never_changes_values(tmp_path_factory, points):
     )
 
 
+def test_pooled_campaign_runs_inside_a_running_event_loop():
+    """A caller that already runs an event loop in its thread (a
+    notebook, an async application) can run a pooled campaign."""
+    import asyncio
+
+    async def go():
+        return run_campaign(FIG4_GRID[:2], workers=2)
+
+    report = asyncio.run(go())
+    assert not report.failures
+    assert [r.config for r in report.results] == FIG4_GRID[:2]
+
+
 def test_results_come_back_in_submission_order():
     configs = [
         ExperimentConfig(workload="repartition", size="tiny", tier=tier)
@@ -252,23 +265,37 @@ def test_invalid_worker_count_rejected():
 
 
 # ---------------------------------------------------------------- lifecycle
-def test_close_removes_the_runners_temporary_directories():
+def assert_no_service_jobs(runner):
+    """A kept pooled runner's service holds no job once ``run()`` has
+    returned (``ExperimentService.jobs`` keeps every job it is given)."""
+    held = runner._resources.get("service")
+    assert runner.workers <= 1 or held is not None
+    if held is not None:
+        assert held[0].jobs == {}
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_close_removes_the_runners_temporary_directories(workers):
     """A runner given no directories makes temporary ones; ``close()``
     removes them (not the collector, with a ``ResourceWarning``), and a
     closed runner runs again in fresh ones."""
     import gc
     import warnings
 
-    points = FIG4_GRID[:2]
+    points = FIG4_GRID[:2] + FIG4_GRID[:1]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        runner = CampaignRunner(workers=0, observe=True)
+        runner = CampaignRunner(workers=workers, observe=True)
         roots = [runner.trace_root, runner.dataset_root, runner.obs_dir]
         assert all(root.is_dir() for root in roots)
         first = runner.run(points)
+        assert_no_service_jobs(runner)
+        again = runner.run(points)
+        assert_no_service_jobs(runner)
         runner.close()
         assert not any(root.exists() for root in roots)
         second = runner.run(points)
+        assert_no_service_jobs(runner)
         fresh = [runner.trace_root, runner.dataset_root, runner.obs_dir]
         assert all(root.is_dir() for root in fresh)
         assert set(fresh).isdisjoint(roots)
@@ -280,11 +307,12 @@ def test_close_removes_the_runners_temporary_directories():
     assert not first.failures and not second.failures
     assert [r.execution_time for r in second.results] == [
         r.execution_time for r in first.results
-    ]
+    ] == [r.execution_time for r in again.results]
 
 
 # ------------------------------------------------------------ observability
-def test_campaign_writes_per_point_and_merged_artifacts(tmp_path):
+@pytest.mark.parametrize("workers", [0, 2])
+def test_campaign_writes_per_point_and_merged_artifacts(tmp_path, workers):
     import json
 
     from repro.obs import ObsConfig
@@ -296,7 +324,7 @@ def test_campaign_writes_per_point_and_merged_artifacts(tmp_path):
         metrics_path=str(tmp_path / "merged.metrics.json"),
         artifact_dir=str(tmp_path / "obs"),
     )
-    report = run_campaign(configs, observe=obs)
+    report = run_campaign(configs, observe=obs, workers=workers)
 
     # One artifact pair per point, keyed by the point's config hash.
     for config in configs:
@@ -317,6 +345,11 @@ def test_campaign_writes_per_point_and_merged_artifacts(tmp_path):
     merged_metrics = json.loads((tmp_path / "merged.metrics.json").read_text())
     assert merged_metrics["counters"]["campaign.points_merged"] == 2.0
     assert merged_metrics["counters"]["campaign.executed"] == 2.0
+    # The campaign's merge, not a service's own export at shutdown.
+    assert merged_metrics["run"] == {"label": "campaign"}
+    assert all(
+        event.get("cat") != "service.job" for event in merged_trace["traceEvents"]
+    )
 
 
 def test_campaign_observability_does_not_change_results(tmp_path):
