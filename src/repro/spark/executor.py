@@ -319,8 +319,7 @@ class Executor:
                 yield thread
                 task.metrics.cpu_wait = env.now - cpu_wait_started
 
-                ctx = TaskContext(executor=self)
-                ctx.metrics = task.metrics
+                ctx = TaskContext(self, task.metrics)
                 # A crashing attempt must leave no shuffle output behind.
                 result = self._evaluate(task, ctx, register=not crash)
                 ops, profile = ctx.drain_profile()

@@ -37,14 +37,15 @@ class TaskContext:
         "pending_disk_reads",
     )
 
-    def __init__(self, executor: "Executor | None" = None) -> None:
+    def __init__(self, executor: "Executor | None", metrics: TaskMetrics) -> None:
         self.executor = executor
         self.compute_ops = 0.0
         self.bytes_read = 0.0
         self.bytes_written = 0.0
         self.random_reads = 0.0
         self.random_writes = 0.0
-        self.metrics = TaskMetrics()
+        #: The attempt's own metrics, filled in place as the task runs.
+        self.metrics = metrics
         #: HDFS byte volumes queued by source RDDs; the executor turns
         #: these into timed datanode reads after evaluation.
         self.pending_hdfs_reads: list[float] = []

@@ -41,6 +41,28 @@ cdf as the same sequential fold, and the ``searchsorted`` binary search
 as the comparison tree it unrolls to.  Every float op is the one the
 replicas perform, on the same operands in the same order, so the pass
 is exact wherever the replicas are.
+
+Three more workloads score, split or solve a whole partition at once
+instead of one row at a time, and each kernel rests on one more fact:
+
+- builtin ``sum`` over floats is a plain left fold from ``0`` on CPython
+  3.11 and earlier, and Neumaier's compensated fold from 3.12 on.
+  :func:`left_fold` and :func:`neumaier_fold` run each fold over the
+  last axis of an array, lane by lane with the builtin's operations, and
+  :func:`builtin_sum_fold` names the one that equals ``sum`` here
+  (bayes' per-class document scores);
+- ``np.quantile``'s default method reads the order statistics at
+  ``floor((n - 1) q)`` and the next index and joins them with a
+  two-branch lerp.  :func:`column_quantiles` takes every column's order
+  statistics from one ``np.partition`` and lerps the same way (rf's
+  split thresholds);
+- ``np.linalg.solve`` over a stack of matrices runs, matrix by matrix,
+  the LAPACK solve that one call per matrix runs; :func:`stacked_solve`
+  makes that call (ALS' normal equations).
+
+Each fact has its own one-time self-check: :func:`builtin_sum_fold`,
+:func:`quantiles_match` and :func:`stacked_solve_matches`.  Where one
+fails, its workload keeps the row-at-a-time code it replaces.
 """
 
 from __future__ import annotations
@@ -52,7 +74,18 @@ from bisect import bisect_right
 
 import numpy as np
 
-__all__ = ["compiled_gibbs_pass", "pairwise_sum", "replicas_match"]
+__all__ = [
+    "builtin_sum_fold",
+    "column_quantiles",
+    "compiled_gibbs_pass",
+    "left_fold",
+    "neumaier_fold",
+    "pairwise_sum",
+    "quantiles_match",
+    "replicas_match",
+    "stacked_solve",
+    "stacked_solve_matches",
+]
 
 
 def pairwise_sum(values: t.Sequence[float]) -> float:
@@ -287,3 +320,147 @@ def replicas_match() -> bool:
     if _VERDICT is None:
         _VERDICT = _self_check()
     return _VERDICT
+
+
+def left_fold(terms: np.ndarray) -> np.ndarray:
+    """``sum(row)`` as CPython 3.11 and earlier fold floats, every row at once.
+
+    Folds the last axis of ``terms`` left to right from ``0.0``: the
+    builtin starts from the int ``0``, whose add with the first float is
+    ``0.0 + x0``, and then adds each term in order.
+    """
+    acc = np.zeros(terms.shape[:-1])
+    for j in range(terms.shape[-1]):
+        acc = acc + terms[..., j]
+    return acc
+
+
+def neumaier_fold(terms: np.ndarray) -> np.ndarray:
+    """``sum(row)`` as CPython 3.12 and later fold floats, every row at once.
+
+    Neumaier's compensated fold over the last axis, as the builtin runs
+    it: the first term enters as ``0.0 + x0``; each later ``x`` sets
+    ``t = f + x`` and adds ``(f - t) + x`` to the compensation ``c`` when
+    ``|f| >= |x|``, else ``(x - t) + f``; the result is ``f + c`` when
+    ``c`` is non-zero and finite, else ``f``.  Both branches are computed
+    and one is selected per lane, so every lane rounds as the builtin.
+    """
+    f = np.zeros(terms.shape[:-1])
+    if terms.shape[-1] == 0:
+        return f
+    f = f + terms[..., 0]
+    c = np.zeros_like(f)
+    for j in range(1, terms.shape[-1]):
+        x = terms[..., j]
+        t = f + x
+        c = c + np.where(np.abs(f) >= np.abs(x), (f - t) + x, (x - t) + f)
+        f = t
+    return np.where((c != 0.0) & np.isfinite(c), f + c, f)
+
+
+@functools.cache
+def builtin_sum_fold() -> t.Callable[[np.ndarray], np.ndarray] | None:
+    """The fold that equals builtin ``sum`` over floats here, or None.
+
+    Checked once per process: each candidate must equal ``sum`` bit for
+    bit on deterministic rows of mixed signs and magnitudes, one of them
+    a row on which the two folds differ.  None, when neither does,
+    keeps every caller on ``sum``.
+    """
+    rng = np.random.default_rng(0x5E3D)
+    blocks = [np.array([[1e16, 1.0, -1e16], [0.1, 0.2, 0.3]])]
+    for n in (1, 2, 3, 7, 8, 30, 64):
+        scale = 10.0 ** rng.integers(-12, 13, (16, n))
+        blocks.append((rng.random((16, n)) - 0.5) * scale)
+    for fold in (left_fold, neumaier_fold):
+        if all(
+            [v.hex() for v in fold(x).tolist()]
+            == [sum(row).hex() for row in x.tolist()]
+            for x in blocks
+        ):
+            return fold
+    return None
+
+
+def column_quantiles(x: np.ndarray, qs: t.Sequence[float]) -> np.ndarray:
+    """``np.quantile(x[:, j], qs)`` for every column ``j`` of ``x`` at once.
+
+    numpy's default ("linear") method reads the order statistics at
+    ``floor((n - 1) q)`` and the next index (both the last when
+    ``(n - 1) q`` reaches ``n - 1``) and joins them with a two-branch
+    lerp: ``a + (b - a) g`` below ``g = 0.5``, ``b - (b - a)(1 - g)``
+    from it.  One ``np.partition`` of ``x`` along axis 0, at the indices
+    numpy partitions each column at (so that even tied ``0.0`` and
+    ``-0.0`` land alike), places every column's order statistics, and
+    the lerp is evaluated as numpy evaluates it.  Returns shape
+    ``(len(qs), x.shape[1])``.  ``x`` holds at least one row and no NaN
+    (numpy returns NaN for such a column).
+    """
+    n = x.shape[0]
+    virtual = (n - 1) * np.asarray(qs, dtype=np.float64)
+    lo = np.floor(virtual)
+    last = virtual >= n - 1
+    lo[last] = -1.0
+    gamma = (virtual - lo)[:, None]
+    lo_i = lo.astype(np.intp)
+    hi_i = np.where(last, -1, lo_i + 1)
+    kth = np.unique(np.concatenate(([0, -1], lo_i, hi_i)))
+    ordered = np.partition(x, kth, axis=0)
+    a, b = ordered[lo_i], ordered[hi_i]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
+@functools.cache
+def quantiles_match() -> bool:
+    """True when :func:`column_quantiles` equals ``np.quantile`` here.
+
+    Checked once per process, bit for bit, on continuous and tied
+    columns of every length up to 59 and at 799, 800 and 2400 rows.
+    """
+    rng = np.random.default_rng(0x9A27)
+    qs = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+    for n in (*range(1, 60), 799, 800, 2400):
+        x = np.column_stack((
+            rng.normal(size=n),
+            np.round(rng.normal(size=n)),
+            rng.integers(0, 3, n) * -0.5,
+        ))
+        got = column_quantiles(x, qs)
+        for j in range(x.shape[1]):
+            if got[:, j].tobytes() != np.quantile(x[:, j], qs).tobytes():
+                return False
+    return True
+
+
+def stacked_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a[i], b[i])`` for every ``i`` in one call.
+
+    ``a`` is an ``(n, m, m)`` stack and ``b`` an ``(n, m)`` stack of
+    right-hand sides, passed as ``(n, m, 1)`` matrices: numpy 2 reads a
+    2-D ``b`` beside a 3-D ``a`` as one matrix, numpy 1 as a stack of
+    vectors.  Returns ``(n, m)``.
+    """
+    return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+
+
+@functools.cache
+def stacked_solve_matches() -> bool:
+    """True when :func:`stacked_solve` equals per-matrix solves here.
+
+    Checked once per process, bit for bit, on stacks of regularized
+    Gram matrices (the normal equations ALS solves) and of general
+    matrices.
+    """
+    rng = np.random.default_rng(0x50E7)
+    for m in (1, 2, 8):
+        for n in (1, 3, 50):
+            vecs = rng.normal(scale=0.5, size=(n, 4, m))
+            gram = 0.1 * np.eye(m) + np.einsum("nki,nkj->nij", vecs, vecs)
+            for a in (gram, rng.normal(size=(n, m, m))):
+                b = rng.normal(size=(n, m))
+                stacked = stacked_solve(a, b)
+                single = np.array([np.linalg.solve(a[i], b[i]) for i in range(n)])
+                if stacked.tobytes() != single.tobytes():
+                    return False
+    return True

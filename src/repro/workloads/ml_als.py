@@ -20,6 +20,7 @@ import numpy as np
 from repro.spark.context import SparkContext
 from repro.spark.costs import CostSpec
 from repro.workloads import datagen
+from repro.workloads._exact import stacked_solve, stacked_solve_matches
 from repro.workloads.base import SizeProfile, Workload
 
 #: Dense normal-equation solve per entity: high ops, streaming access.
@@ -41,6 +42,34 @@ def _solve_factors(
         a += np.outer(vec, vec)
         b += rating * vec
     return np.linalg.solve(a, b)
+
+
+def _solve_partition(
+    part: list[tuple[int, list[tuple[int, float]]]], fixed: dict[int, np.ndarray]
+) -> list[tuple[int, np.ndarray]]:
+    """:func:`_solve_factors` for every entity of a partition at once.
+
+    Every entity's normal equations start from ``REGULARIZATION * I``.
+    Pass ``j`` adds ``v vᵀ`` and ``r v`` of the ``j``-th rating of every
+    entity that has one, so each entity adds its own terms in its rating
+    order, with the products and adds of the per-entity loop.  One
+    :func:`~repro.workloads._exact.stacked_solve` over the
+    ``(n, RANK, RANK)`` stack then solves them all (bit for bit the
+    per-entity solves where
+    :func:`~repro.workloads._exact.stacked_solve_matches` holds).
+    """
+    if not part:
+        return []
+    entries = [ratings for _, ratings in part]
+    a = np.tile(np.eye(RANK) * REGULARIZATION, (len(entries), 1, 1))
+    b = np.zeros((len(entries), RANK))
+    for j in range(max(map(len, entries))):
+        rows = [i for i, e in enumerate(entries) if len(e) > j]
+        vecs = np.array([fixed[entries[i][j][0]] for i in rows])
+        ratings = np.array([entries[i][j][1] for i in rows])
+        a[rows] += vecs[:, :, None] * vecs[:, None, :]
+        b[rows] += ratings[:, None] * vecs
+    return [(key, x) for (key, _), x in zip(part, stacked_solve(a, b))]
 
 
 class AlsWorkload(Workload):
@@ -88,21 +117,26 @@ class AlsWorkload(Workload):
             p: rng.normal(scale=0.1, size=RANK) for p in range(n_products)
         }
 
+        def solve_each(part: list, fixed: dict[int, np.ndarray]) -> list:
+            return [(key, _solve_factors(r, fixed)) for key, r in part]
+
+        solve = _solve_partition if stacked_solve_matches() else solve_each
+
+        def update(grouped: t.Any, fixed: dict[int, np.ndarray]) -> dict:
+            # Named "mapValues" like the per-entity mapValues it batches:
+            # stage names enter the trace checksum.
+            return dict(grouped.map_partitions(
+                lambda part: solve(part, fixed),
+                cost=ALS_SOLVE_COST.with_pressure(profile.llc_pressure),
+                preserves_partitioning=True,
+                name="mapValues",
+            ).collect())
+
         for _ in range(ITERATIONS):
             # Update users against fixed products (broadcast-join style).
-            fixed_p = dict(product_factors)
-            updated_u = by_user.map_values(
-                lambda entries, fp=fixed_p: _solve_factors(list(entries), fp),
-                cost=ALS_SOLVE_COST.with_pressure(profile.llc_pressure),
-            ).collect()
-            user_factors.update(dict(updated_u))
+            user_factors.update(update(by_user, dict(product_factors)))
             # Update products against fixed users.
-            fixed_u = dict(user_factors)
-            updated_p = by_product.map_values(
-                lambda entries, fu=fixed_u: _solve_factors(list(entries), fu),
-                cost=ALS_SOLVE_COST.with_pressure(profile.llc_pressure),
-            ).collect()
-            product_factors.update(dict(updated_p))
+            product_factors.update(update(by_product, dict(user_factors)))
 
         rmse = self._rmse(sc, size, user_factors, product_factors)
         return {"rmse": rmse, "users": len(user_factors)}, profile.param("ratings")

@@ -14,11 +14,14 @@ import math
 import operator
 import typing as t
 from collections import defaultdict
-from itertools import repeat
+from itertools import chain, repeat
+
+import numpy as np
 
 from repro.spark.context import SparkContext
 from repro.spark.costs import CostSpec
 from repro.workloads import datagen
+from repro.workloads._exact import builtin_sum_fold
 from repro.workloads.base import SizeProfile, Workload
 
 #: Token-level hash counting across a large key space: access-heavy.
@@ -33,6 +36,87 @@ SCORE_COST = CostSpec(
     random_reads_per_record=45.0,
     random_writes_per_record=3.0,
 )
+
+Doc = tuple[int, list[str]]
+
+
+def _classifier(
+    priors: dict[int, float],
+    log_tables: dict[int, dict[str, float]],
+    log_default: dict[int, float],
+) -> t.Callable[[Doc], tuple[int, int]]:
+    """The per-document scorer: ``doc -> (label, predicted class)``.
+
+    A class scores ``prior + sum(log-probs of the words, in order)``,
+    with the class's default for a word it never saw; the first class in
+    ``priors`` order with the highest score wins.  The reference the
+    batched scorer must equal, and its fallback.
+    """
+    # Bind (class, prior, table.get, default) once: the scoring loop
+    # then avoids three dict probes per class per document.
+    class_row = [
+        (c, priors[c], log_tables[c].get, log_default[c]) for c in priors
+    ]
+
+    def classify(doc: Doc) -> tuple[int, int]:
+        label, words = doc
+        best, best_score = -1, -math.inf
+        for c, prior, table_get, default in class_row:
+            # map() keeps the same left-to-right summation order as
+            # the per-token loop while dispatching lookups in C.
+            score = prior + sum(map(table_get, words, repeat(default)))
+            if score > best_score:
+                best, best_score = c, score
+        return label, best
+
+    return classify
+
+
+def _partition_scorer(
+    priors: dict[int, float],
+    log_tables: dict[int, dict[str, float]],
+    log_default: dict[int, float],
+    fold: t.Callable[[np.ndarray], np.ndarray],
+    classify: t.Callable[[Doc], tuple[int, int]],
+) -> t.Callable[[list[Doc]], list[tuple[int, int]]]:
+    """``classify`` for a whole partition from one log-probability table.
+
+    The table holds one row per class in ``priors`` order and one column
+    per word any class saw, plus a last column for words none saw; a
+    class's default fills every word it never saw.  Gathering a
+    partition's word columns gives each (class, document) its terms in
+    word order, ``fold`` (the interpreter's ``sum``, see
+    :func:`~repro.workloads._exact.builtin_sum_fold`) adds them as
+    ``sum`` does, and ``argmax`` keeps the first maximal class, as the
+    strict ``>`` of ``classify`` does for finite scores.  A partition
+    whose documents differ in length goes through ``classify``.
+    """
+    classes = list(priors)
+    column = {w: j for j, w in enumerate(dict.fromkeys(
+        w for c in classes for w in log_tables[c]
+    ))}
+    unseen = len(column)
+    table = np.repeat([[log_default[c]] for c in classes], unseen + 1, axis=1)
+    for row, c in zip(table, classes):
+        row[[column[w] for w in log_tables[c]]] = list(log_tables[c].values())
+    prior = np.array([[priors[c]] for c in classes])
+    word_column = column.get
+
+    def score(part: list[Doc]) -> list[tuple[int, int]]:
+        if not part:
+            return []
+        n_words = len(part[0][1])
+        if any(len(words) != n_words for _, words in part):
+            return list(map(classify, part))
+        ids = np.fromiter(
+            map(word_column, chain.from_iterable(w for _, w in part), repeat(unseen)),
+            dtype=np.intp,
+            count=len(part) * n_words,
+        ).reshape(len(part), n_words)
+        best = (prior + fold(table[:, ids])).argmax(axis=0).tolist()
+        return [(label, classes[k]) for (label, _), k in zip(part, best)]
+
+    return score
 
 
 class BayesWorkload(Workload):
@@ -120,26 +204,18 @@ class BayesWorkload(Workload):
                 (count + 1.0) / (class_tokens[label] + vocabulary)
             )
 
-        # Bind (class, prior, table.get, default) once: the scoring loop
-        # then avoids three dict probes per class per document.  Class
-        # iteration order and the left-to-right token summation order are
-        # unchanged, so scores and argmax ties are bit-identical.
-        class_row = [
-            (c, priors[c], log_tables[c].get, log_default[c]) for c in priors
-        ]
-
-        def classify(doc: tuple[int, list[str]]) -> tuple[int, int]:
-            label, words = doc
-            best, best_score = -1, -math.inf
-            for c, prior, table_get, default in class_row:
-                # map() keeps the same left-to-right summation order as
-                # the per-token loop while dispatching lookups in C.
-                score = prior + sum(map(table_get, words, repeat(default)))
-                if score > best_score:
-                    best, best_score = c, score
-            return label, best
-
-        scored = docs.map(classify, cost=SCORE_COST.with_pressure(profile.llc_pressure))
+        classify = _classifier(priors, log_tables, log_default)
+        fold = builtin_sum_fold()
+        score = (
+            _partition_scorer(priors, log_tables, log_default, fold, classify)
+            if fold is not None
+            else lambda part: list(map(classify, part))
+        )
+        # Named "map" like the per-document map it batches: stage names
+        # enter the trace checksum.
+        scored = docs.map_partitions(
+            score, cost=SCORE_COST.with_pressure(profile.llc_pressure), name="map"
+        )
         correct = scored.filter(lambda lb: lb[0] == lb[1]).count()
         accuracy = correct / n_docs
         return {"accuracy": accuracy, "model_size": len(word_counts)}, tokens

@@ -18,7 +18,12 @@ import numpy as np
 from repro.spark.context import SparkContext
 from repro.spark.costs import CostSpec
 from repro.workloads import datagen
-from repro.workloads._exact import pairwise_sum, replicas_match
+from repro.workloads._exact import (
+    column_quantiles,
+    pairwise_sum,
+    quantiles_match,
+    replicas_match,
+)
 from repro.workloads.base import SizeProfile, Workload
 
 #: Split search over feature histograms: compute-heavy, some pointer work.
@@ -32,6 +37,8 @@ SCORE_COST = CostSpec(ops_per_record=600.0, random_reads_per_record=9.0)
 N_TREES = 8
 MAX_DEPTH = 5
 MIN_LEAF = 4
+#: Candidate thresholds of a feature: its quartiles.
+QUANTILES = (0.25, 0.5, 0.75)
 
 
 @dataclass
@@ -74,6 +81,86 @@ def _gini(labels: np.ndarray) -> float:
     return _gini_from_counts(np.bincount(labels).tolist(), labels.size)
 
 
+def _split_gain(
+    parent_impurity: float,
+    total_counts: list[int],
+    left_counts: list[int],
+    left_n: int,
+    size: int,
+) -> float:
+    """Gini gain of sending ``left_n`` of ``size`` rows left, by label
+    ``left_counts``."""
+    right_n = size - left_n
+    right_counts = [t - l for t, l in zip(total_counts, left_counts)]
+    return parent_impurity - (
+        left_n * _gini_from_counts(left_counts, left_n)
+        + right_n * _gini_from_counts(right_counts, right_n)
+    ) / size
+
+
+def _best_split(
+    x: np.ndarray,
+    y: np.ndarray,
+    candidates: np.ndarray,
+    total_counts: list[int],
+    parent_impurity: float,
+) -> tuple[float, int, float]:
+    """The reference split search: ``(gain, feature, threshold)``.
+
+    Tries each candidate feature at its quartiles, in order, and keeps
+    the first split of highest positive gain whose sides both hold
+    ``MIN_LEAF`` rows; feature ``-1`` when none qualifies.
+    """
+    best_gain, best_feature, best_threshold = 0.0, -1, 0.0
+    n_labels = len(total_counts)
+    for feature in candidates:
+        values = x[:, feature]
+        for threshold in np.quantile(values, QUANTILES):
+            mask = values <= threshold
+            left_n = int(mask.sum())
+            right_n = y.size - left_n
+            if left_n < MIN_LEAF or right_n < MIN_LEAF:
+                continue
+            left_counts = np.bincount(y[mask], minlength=n_labels).tolist()
+            gain = _split_gain(parent_impurity, total_counts, left_counts, left_n, y.size)
+            if gain > best_gain:
+                best_gain, best_feature, best_threshold = gain, int(feature), float(threshold)
+    return best_gain, best_feature, best_threshold
+
+
+def _best_split_batched(
+    x: np.ndarray,
+    y: np.ndarray,
+    candidates: np.ndarray,
+    total_counts: list[int],
+    parent_impurity: float,
+) -> tuple[float, int, float]:
+    """:func:`_best_split` with every candidate split counted at once.
+
+    One ``np.partition`` yields every candidate's thresholds
+    (:func:`~repro.workloads._exact.column_quantiles`), one ``<=``
+    compare every split's mask, and one integer matmul with the one-hot
+    labels every split's left label counts.  The gains then follow from
+    the same counts, in the same order, through :func:`_split_gain`.
+    """
+    cols = x[:, candidates]
+    thresholds = column_quantiles(cols, QUANTILES).T
+    masks = (cols[:, :, None] <= thresholds).reshape(y.size, -1)
+    n_labels = len(total_counts)
+    onehot = (y[:, None] == np.arange(n_labels)).T.astype(np.int64)
+    left_sizes = masks.sum(axis=0).tolist()
+    left_counts = (onehot @ masks).T.tolist()
+    splits = [(int(f), float(th)) for f, row in zip(candidates, thresholds) for th in row]
+    best_gain, best_feature, best_threshold = 0.0, -1, 0.0
+    for (feature, threshold), left_n, left in zip(splits, left_sizes, left_counts):
+        if left_n < MIN_LEAF or y.size - left_n < MIN_LEAF:
+            continue
+        gain = _split_gain(parent_impurity, total_counts, left, left_n, y.size)
+        if gain > best_gain:
+            best_gain, best_feature, best_threshold = gain, feature, threshold
+    return best_gain, best_feature, best_threshold
+
+
 def _build_tree(
     x: np.ndarray, y: np.ndarray, rng: np.random.Generator, depth: int = 0
 ) -> _Node:
@@ -92,26 +179,11 @@ def _build_tree(
     candidates = rng.choice(
         n_features, size=max(1, int(np.sqrt(n_features))), replace=False
     )
-    best_gain, best_feature, best_threshold = 0.0, -1, 0.0
-    n_labels = len(label_counts)
     total_counts = label_counts.tolist()
-    parent_impurity = _gini_from_counts(total_counts, y.size)
-    for feature in candidates:
-        values = x[:, feature]
-        for threshold in np.quantile(values, [0.25, 0.5, 0.75]):
-            mask = values <= threshold
-            left_n = int(mask.sum())
-            right_n = y.size - left_n
-            if left_n < MIN_LEAF or right_n < MIN_LEAF:
-                continue
-            left_counts = np.bincount(y[mask], minlength=n_labels).tolist()
-            right_counts = [t - l for t, l in zip(total_counts, left_counts)]
-            gain = parent_impurity - (
-                left_n * _gini_from_counts(left_counts, left_n)
-                + right_n * _gini_from_counts(right_counts, right_n)
-            ) / y.size
-            if gain > best_gain:
-                best_gain, best_feature, best_threshold = gain, int(feature), float(threshold)
+    search = _best_split_batched if quantiles_match() else _best_split
+    _, best_feature, best_threshold = search(
+        x, y, candidates, total_counts, _gini_from_counts(total_counts, y.size)
+    )
     if best_feature < 0:
         return node
     mask = x[:, best_feature] <= best_threshold
@@ -137,12 +209,6 @@ def _flatten_tree(node: _Node) -> _Cell:
         _flatten_tree(node.left),  # type: ignore[arg-type]
         _flatten_tree(node.right),  # type: ignore[arg-type]
     )
-
-
-def _predict_tree(node: _Node, row: np.ndarray) -> int:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right  # type: ignore[assignment]
-    return node.prediction
 
 
 class RandomForestWorkload(Workload):
