@@ -47,6 +47,7 @@ from repro.runner.campaign import (
     CampaignProgress,
     CampaignReport,
     CampaignRunner,
+    _trace_store,
     run_campaign,
 )
 
@@ -98,10 +99,10 @@ def _execute_single(
                 return hit, "cached"
     trace_root = options.trace_root()
     if trace_root is not None:
-        from repro.trace import TraceStore, run_with_trace
+        from repro.trace import run_with_trace
 
         result, how = run_with_trace(
-            config, TraceStore(trace_root), observer=observer
+            config, _trace_store(trace_root), observer=observer
         )
         status = _TRACE_STATUS[how]
     else:

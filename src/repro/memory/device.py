@@ -40,6 +40,7 @@ levels deep:
 from __future__ import annotations
 
 import math
+import sys
 import typing as t
 from dataclasses import dataclass, field
 
@@ -172,6 +173,20 @@ LOCAL_PATH = PathCharacteristics()
 Deltas = tuple[AccessCounters, AccessCounters]
 
 
+def _delta_entry_bytes() -> int:
+    """What one :class:`DeltaTables` entry holds besides its slot in the
+    table, sized from real objects: its two counter records (six
+    integers each) in their tuple.  The burst profile keying it is not
+    counted: it is mostly one the compiled plan holds already."""
+    counters = AccessCounters(*range(1 << 20, (1 << 20) + 6))
+    return sys.getsizeof((counters, counters)) + 2 * (
+        sys.getsizeof(counters) + 6 * sys.getsizeof(1 << 20)
+    )
+
+
+_DELTA_ENTRY_BYTES = _delta_entry_bytes()
+
+
 class DeltaTables:
     """Counter deltas of bursts, shared by the devices bound to them.
 
@@ -188,6 +203,16 @@ class DeltaTables:
 
     def __init__(self) -> None:
         self._tables: dict[tuple[MemoryTechnology, int], dict[AccessProfile, Deltas]] = {}
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the tables hold: each table's hash table, and per entry
+        its counter records.  There is one table per (technology, DIMM
+        count), a handful at most, so this costs no walk over entries."""
+        return sum(
+            sys.getsizeof(table) + len(table) * _DELTA_ENTRY_BYTES
+            for table in self._tables.values()
+        )
 
     def table(self, technology: MemoryTechnology, dimm_count: int) -> dict[AccessProfile, Deltas]:
         """The table of ``technology`` on ``dimm_count`` DIMMs."""

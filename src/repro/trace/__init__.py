@@ -7,7 +7,8 @@ This package splits the engine accordingly:
 
 - :mod:`repro.trace.capture` — Phase 1: one full run through the real
   engine, recording each task's behavioural residue plus DAG structure
-  and workload outputs (:class:`~repro.trace.records.WorkloadTrace`);
+  and the outcome a result reports
+  (:class:`~repro.trace.records.WorkloadTrace`);
 - :mod:`repro.trace.fastreplay` — Phase 2: a micro-kernel re-timer that
   compiles each decoded trace's residues once (numpy-batched) and walks
   a specialized event loop for any tier/MBA/socket configuration,
@@ -17,8 +18,9 @@ This package splits the engine accordingly:
   and simulates directly when the config is not replayable or the
   replay raises :class:`ReplayDivergence`;
 - :mod:`repro.trace.store` — content-addressed gzipped artifacts stored
-  beside the campaign result cache, decoded once per process into a
-  byte-bounded LRU (pool workers each keep their own).
+  beside the campaign result cache, decoded once per process into an
+  LRU bounded by what its entries hold (pool workers each keep their
+  own).
 
 Entry points: :func:`capture_experiment`, :func:`fast_replay_experiment`
 and :func:`run_with_trace` (store-mediated capture-or-replay with the

@@ -242,7 +242,6 @@ class TraceRecorder:
             measured_from=self.measured_from,
             verified=outcome.verified,
             records_processed=outcome.records_processed,
-            output=outcome.output,
             detail=dict(outcome.detail),
         ).seal()
 

@@ -108,10 +108,10 @@ from repro.spark.executor import (
 )
 from repro.spark.metrics import JobMetrics, StageMetrics, TaskMetrics
 from repro.telemetry.collector import TelemetryCollector
-from repro.trace.records import JobTrace, TaskSetTrace, WorkloadTrace
+from repro.trace.records import JobTrace, TaskSetTrace, WorkloadTrace, footprint
 from repro.trace.replay import ReplayDivergence, check_compatible
 
-__all__ = ["fast_replay_experiment"]
+__all__ = ["fast_replay_experiment", "plan_bytes"]
 
 
 # -- micro-kernel ----------------------------------------------------------------
@@ -835,11 +835,22 @@ class _Plan:
     recomputing what an earlier replay on the same kind of device did.
     """
 
-    __slots__ = ("jobs", "deltas")
+    __slots__ = ("jobs", "deltas", "_jobs_bytes")
 
     def __init__(self, jobs: tuple[tuple[tuple[_TaskData, ...], ...], ...]) -> None:
         self.jobs = jobs
         self.deltas = DeltaTables()
+        self._jobs_bytes: int | None = None
+
+    @property
+    def nbytes(self) -> int:
+        """What the plan holds now: its compiled tasks and the delta
+        tables its replays have filled so far.  The tasks never change,
+        so they are sized once, on the first call: a plan nobody charges
+        (a trace replayed outside a store) is never sized."""
+        if self._jobs_bytes is None:
+            self._jobs_bytes = footprint(self.jobs)
+        return self._jobs_bytes + self.deltas.nbytes
 
 
 def _compiled_plan(trace: WorkloadTrace, chunk_bytes: int) -> _Plan:
@@ -850,7 +861,8 @@ def _compiled_plan(trace: WorkloadTrace, chunk_bytes: int) -> _Plan:
     caller has just verified plus the chunk size, so a trace whose
     residues were re-sealed compiles afresh.  It dies with the decoded
     trace, e.g. when :class:`~repro.trace.store.TraceStore`'s load cache
-    drops it, and its delta tables with it.
+    drops it, and its delta tables with it; that cache charges both
+    (:func:`plan_bytes`).
     """
     key = (trace.checksum, chunk_bytes)
     cached = getattr(trace, "_replay_plan", None)
@@ -864,6 +876,15 @@ def _compiled_plan(trace: WorkloadTrace, chunk_bytes: int) -> _Plan:
     )
     trace._replay_plan = (key, plan)
     return plan
+
+
+def plan_bytes(trace: WorkloadTrace) -> int:
+    """Bytes the plan compiled onto ``trace`` holds now, with its delta
+    tables; 0 before the trace's first replay.  After a plan's first
+    call this costs O(1), so a cache of decoded traces can charge for
+    plans on every load."""
+    cached = getattr(trace, "_replay_plan", None)
+    return 0 if cached is None else cached[1].nbytes
 
 
 # -- stage/job walk --------------------------------------------------------------

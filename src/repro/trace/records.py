@@ -21,7 +21,9 @@ not once per replayed point.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import sys
 import typing as t
 from dataclasses import dataclass, field
 
@@ -97,6 +99,18 @@ class TaskSetTrace:
     def num_tasks(self) -> int:
         return int(self.ints["task_id"].shape[0])
 
+    def __setstate__(self, state: dict[str, t.Any]) -> None:
+        # A protocol-5 pickle decodes each column as a view of its own
+        # bytearray: five objects, about four times the memory of a
+        # small column that owns its data.  Decoded columns own theirs.
+        state["floats"] = {k: np.array(v) for k, v in state["floats"].items()}
+        state["ints"] = {k: np.array(v) for k, v in state["ints"].items()}
+        state["io"] = {
+            k: (np.array(offsets), np.array(values))
+            for k, (offsets, values) in state["io"].items()
+        }
+        self.__dict__.update(state)
+
     def update_checksum(self, digest: "hashlib._Hash") -> None:
         digest.update(
             f"{self.stage_id}|{self.name}|{self.attempt}|"
@@ -127,9 +141,11 @@ class WorkloadTrace:
 
     ``jobs[:measured_from]`` ran before the telemetry window (HiBench's
     untimed prepare phase, outside MBA throttling); the rest are the
-    measured jobs.  ``output``/``verified``/``records_processed``/
-    ``detail`` are the workload's real outputs, recorded so replayed
-    results carry identical payloads without recomputation.
+    measured jobs.  ``verified`` and ``records_processed`` are the
+    workload's outcome as a result reports it, recorded so a replayed
+    result carries them without recomputation; ``detail`` is the
+    workload's own summary.  The workload's output is not kept: no
+    result carries it.
     """
 
     format_version: int
@@ -141,7 +157,6 @@ class WorkloadTrace:
     measured_from: int
     verified: bool
     records_processed: int
-    output: t.Any
     detail: dict[str, float]
     checksum: str = ""
 
@@ -164,6 +179,14 @@ class WorkloadTrace:
         # never reach a pickle.
         names = self.__dataclass_fields__
         return {k: v for k, v in self.__dict__.items() if k in names}
+
+    def __setstate__(self, state: dict[str, t.Any]) -> None:
+        # The mirror of ``__getstate__``: only dataclass fields are
+        # decoded, so an artifact written when traces still stored the
+        # workload's output (the checksum never covered it) loads
+        # without it.
+        names = self.__dataclass_fields__
+        self.__dict__.update((k, v) for k, v in state.items() if k in names)
 
     def seal(self) -> "WorkloadTrace":
         self.checksum = self.compute_checksum()
@@ -189,6 +212,28 @@ class WorkloadTrace:
                     totals[name] += float(ts.floats[name].sum())
         totals["num_tasks"] = float(self.num_tasks)
         return totals
+
+
+def footprint(*roots: object) -> int:
+    """Bytes held by ``roots`` and every object they reach, each counted
+    once by :func:`sys.getsizeof`; an array counts the data it owns.
+    An instance's class is not followed, so this is for plain data:
+    containers, instances and arrays, such as a decoded trace or a
+    compiled replay plan.
+    """
+    seen: set[int] = set()
+    total = 0
+    level = list(roots)
+    while level:
+        fresh = dict(zip(map(id, level), level))
+        for key in seen.intersection(fresh):
+            del fresh[key]
+        objs = list(fresh.values())
+        seen.update(fresh)
+        seen.update(map(id, map(type, objs)))
+        total += sum(map(sys.getsizeof, objs))
+        level = gc.get_referents(*objs)
+    return total
 
 
 def build_task_set_trace(

@@ -100,7 +100,8 @@ def run_with_trace(
 
     Returns ``(result, how)`` where ``how`` is ``"replayed"`` (trace
     hit), ``"captured"`` (trace miss: ran the full engine and saved a
-    new artifact) or ``"direct"`` (not replayable, or the replay raised
+    new artifact, or kept the result when the save raised ``OSError``)
+    or ``"direct"`` (not replayable, or the replay raised
     :class:`ReplayDivergence` and the point was simulated in full).
     Observed runs take the same path; the re-timer emits the spans and
     registry metrics a direct run records.
@@ -112,7 +113,12 @@ def run_with_trace(
     if trace is None:
         result, captured = capture_experiment(config, observer=observer)
         if captured is not None:
-            store.save(config, captured)
+            try:
+                store.save(config, captured)
+            except OSError:
+                # A full or read-only trace directory costs the reuse,
+                # not the result (the store counts it as save_failed).
+                pass
         return result, "captured"
     # Resolved as a module attribute at call time, so a profiler's
     # wrapper over it sees every replay.

@@ -36,11 +36,18 @@ it was decoded from, and a load serves it in one of two ways:
   across the margin.
 
 Every other load reads, digests and, on a new digest, decodes.  The LRU
-is bounded by the artifact bytes it holds, not by entry count, so every
-behaviour class of the paper's grid stays decoded (together with the
-replay plan :mod:`repro.trace.fastreplay` compiles onto it) however
-many classes a campaign or service cycles through.  :func:`stats`
-counts each load's outcome.
+is bounded by what its entries hold in memory, not by entry count or
+artifact bytes: each entry is charged its decoded trace, sized once at
+decode, plus the replay plan :mod:`repro.trace.fastreplay` compiles
+onto it and the counter-delta tables that plan's replays fill
+(:func:`~repro.trace.fastreplay.plan_bytes`).  Plans and tables grow
+after the decode, so every load, hits included, re-checks the budget;
+each entry's charge is read in O(1), once its plan has been sized on
+its first charge.  Every behaviour class of the paper's grid stays
+decoded however many classes a campaign or service cycles through.
+:func:`stats` counts each load's outcome, and each save that raised an
+``OSError`` (a full or read-only disk), after which
+:func:`~repro.trace.replay.run_with_trace` keeps the captured result.
 
 Pool workers of a campaign or the service read artifacts the same way:
 each worker process keeps its own LRU, so a worker decodes a behaviour
@@ -64,7 +71,8 @@ from collections import OrderedDict
 from pathlib import Path
 
 from repro.trace.capture import behavior_dict
-from repro.trace.records import WorkloadTrace
+from repro.trace.fastreplay import plan_bytes
+from repro.trace.records import WorkloadTrace, footprint
 from repro.version import ENGINE_VERSION, TRACE_FORMAT_VERSION
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -88,7 +96,8 @@ class _Entry(t.NamedTuple):
     """One decoded artifact in the load cache."""
 
     trace: WorkloadTrace
-    #: Artifact bytes, counted against ``_LOAD_CACHE_BYTES``.
+    #: What the decoded trace holds, sized at decode (:func:`_charge`
+    #: adds what replays compiled onto it since).
     nbytes: int
     signature: _Signature
     #: SHA-256 prefix of the bytes ``trace`` was decoded from.
@@ -100,9 +109,10 @@ class _Entry(t.NamedTuple):
 
 #: Per-process load cache: artifact path -> its decoded entry.
 _LOAD_CACHE: "OrderedDict[str, _Entry]" = OrderedDict()
-#: Artifact bytes the load cache may hold; the least recently used
-#: traces go first, the newest always stays.  All 21 paper behaviour
-#: classes (7 workloads x tiny/small/large) take ~6.2 MB together.
+#: Bytes the load cache's entries may hold (see :func:`_charge`); the
+#: least recently used traces go first, the newest always stays.  All
+#: 21 paper behaviour classes (7 workloads x tiny/small/large), each
+#: replayed at three tiers, are charged about 3.5 MB together.
 _LOAD_CACHE_BYTES = 16 * 2**20
 
 #: How long after an artifact's last mtime and ctime a read must start
@@ -123,6 +133,7 @@ _STATS = {
     "corrupt": 0,
     "version_skew": 0,
     "checksum": 0,
+    "save_failed": 0,
 }
 
 
@@ -130,7 +141,8 @@ def stats() -> dict[str, int]:
     """Cumulative load outcomes: ``settled_hits`` (served on the stat
     signature alone), ``verified_hits`` (bytes read and digested),
     ``decodes``, and the misses ``missing``, ``corrupt`` (unreadable,
-    undecodable or not a trace), ``version_skew`` and ``checksum``."""
+    undecodable or not a trace), ``version_skew`` and ``checksum``;
+    and ``save_failed``, saves that raised an ``OSError``."""
     return dict(_STATS)
 
 
@@ -190,24 +202,30 @@ class TraceStore:
 
     def save(self, config: "ExperimentConfig", trace: WorkloadTrace) -> Path:
         """Atomically persist one sealed trace artifact (making the root
-        again if it was removed since the store was made)."""
+        again if it was removed since the store was made).  A failed
+        write leaves no temporary file; an ``OSError`` is counted as
+        ``save_failed`` and re-raised."""
         target = self.path_for(config)
-        self.root.mkdir(parents=True, exist_ok=True)
         payload = gzip.compress(
             pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL), _GZIP_LEVEL
         )
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=_SUFFIX
-        )
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, target)
-        except BaseException:
+            self.root.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(
+                dir=self.root, prefix=".tmp-", suffix=_SUFFIX
+            )
             try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(payload)
+                os.replace(tmp_name, target)
+            except BaseException:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
+                raise
+        except OSError:
+            _STATS["save_failed"] += 1
             raise
         return target
 
@@ -238,6 +256,7 @@ class TraceStore:
             entry = None
         if entry is not None and entry.settled:
             _LOAD_CACHE.move_to_end(key)
+            _fit_budget()
             _STATS["settled_hits"] += 1
             return entry.trace
         try:
@@ -253,6 +272,7 @@ class TraceStore:
         if entry is not None and entry.digest == digest:
             _LOAD_CACHE[key] = entry._replace(settled=settled)
             _LOAD_CACHE.move_to_end(key)
+            _fit_budget()
             _STATS["verified_hits"] += 1
             return entry.trace
         try:
@@ -273,10 +293,22 @@ class TraceStore:
             return None
         # An entry left here has the same signature but other bytes.
         _LOAD_CACHE.pop(key, None)
-        _LOAD_CACHE[key] = _Entry(trace, len(payload), signature, digest, settled)
-        held = sum(cached.nbytes for cached in _LOAD_CACHE.values())
-        while held > _LOAD_CACHE_BYTES and len(_LOAD_CACHE) > 1:
-            _, evicted = _LOAD_CACHE.popitem(last=False)
-            held -= evicted.nbytes
+        _LOAD_CACHE[key] = _Entry(trace, footprint(trace), signature, digest, settled)
+        _fit_budget()
         _STATS["decodes"] += 1
         return trace
+
+
+def _charge(entry: _Entry) -> int:
+    """What ``entry`` holds now: its decoded trace, and the replay plan
+    and delta tables compiled onto it since the decode."""
+    return entry.nbytes + plan_bytes(entry.trace)
+
+
+def _fit_budget() -> None:
+    """Evict least recently used entries until the charges fit
+    ``_LOAD_CACHE_BYTES``; the newest entry, the one just served, stays."""
+    held = sum(map(_charge, _LOAD_CACHE.values()))
+    while held > _LOAD_CACHE_BYTES and len(_LOAD_CACHE) > 1:
+        _, evicted = _LOAD_CACHE.popitem(last=False)
+        held -= _charge(evicted)

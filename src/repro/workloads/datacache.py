@@ -72,7 +72,7 @@ _ALIGN = 64
 Columns = dict[str, np.ndarray]
 
 #: Cumulative counters for perf attribution and benchmark assertions.
-_STATS = {"hits": 0, "misses": 0, "stores": 0, "memo_hits": 0}
+_STATS = {"hits": 0, "misses": 0, "stores": 0, "store_failed": 0, "memo_hits": 0}
 
 
 # ------------------------------------------------------------------- codecs --
@@ -340,7 +340,9 @@ def active() -> DatasetCache | None:
 
 
 def stats() -> dict[str, int]:
-    """Cumulative fetch counters (hits/misses/stores/memo_hits)."""
+    """Cumulative fetch counters: hits, misses, stores, ``store_failed``
+    (a store that raised an ``OSError``, e.g. on a full disk; the
+    records are still returned) and memo_hits."""
     return dict(_STATS)
 
 
@@ -380,6 +382,6 @@ def fetch(
             cache.store(name, params, columns)
         except OSError:
             # A read-only or full cache directory must not fail generation.
-            pass
+            _STATS["store_failed"] += 1
     codec = _CODECS[name]
     return codec.decode(columns, codec.meta(params))

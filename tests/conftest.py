@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+import os
+
 import pytest
 
 from repro.cluster.topology import paper_testbed
@@ -32,3 +35,48 @@ def sc() -> SparkContext:
 def sc_nvm() -> SparkContext:
     """A SparkContext bound to the socket-attached NVM tier."""
     return SparkContext(conf=SparkConf(memory_tier=2, default_parallelism=4))
+
+
+class _DiskFull:
+    """A module's ``os`` on a disk that is full for the module's next
+    ``failures`` files opened through ``os.fdopen``: writing to one
+    raises ENOSPC."""
+
+    def __init__(self, failures: int) -> None:
+        self.failures = failures
+
+    def __getattr__(self, name: str):
+        return getattr(os, name)
+
+    def fdopen(self, fd, *args, **kwargs):
+        handle = os.fdopen(fd, *args, **kwargs)
+        if not self.failures:
+            return handle
+        self.failures -= 1
+        return _FullFile(handle)
+
+
+class _FullFile:
+    def __init__(self, handle) -> None:
+        self.handle = handle
+
+    def __enter__(self) -> "_FullFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.handle.close()
+
+    def write(self, data: bytes) -> int:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.fixture
+def disk_full(monkeypatch):
+    """``disk_full(module, failures=1)``: the next ``failures`` files
+    ``module`` writes through ``os.fdopen`` fail with ENOSPC, as on a
+    full disk; later writes succeed."""
+
+    def fill(module, failures: int = 1) -> None:
+        monkeypatch.setattr(module, "os", _DiskFull(failures))
+
+    return fill

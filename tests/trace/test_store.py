@@ -11,12 +11,15 @@ from pathlib import Path
 
 from repro.analysis.resultstore import result_to_dict
 from repro.core.experiment import ExperimentConfig, run_experiment
+from repro.runner.campaign import run_campaign
 from repro.trace import (
     TraceStore,
     capture_experiment,
     fast_replay_experiment,
     trace_key,
 )
+from repro.trace.fastreplay import plan_bytes
+from repro.trace.records import footprint
 import repro.trace.store as store_module
 
 
@@ -163,17 +166,22 @@ def test_same_mtime_overwrite_is_not_served_stale(tmp_path):
     assert fresh.checksum == replacement.checksum != original.checksum
 
 
-def test_load_cache_is_bounded_by_artifact_bytes(tmp_path, monkeypatch):
+def test_load_cache_is_bounded_by_decoded_bytes(tmp_path, monkeypatch):
     """Loading past the byte budget evicts the least recently used trace
-    and keeps the newest, even when the newest alone exceeds it."""
+    and keeps the newest, even when the newest alone exceeds it.  Each
+    entry is charged what its decoded trace holds, not its artifact's
+    size."""
     store = TraceStore(tmp_path)
     base = ExperimentConfig(workload="sort", size="tiny", tier=0)
     trace = make_trace(base)
-    # Three behaviour keys holding same-sized artifacts.
+    # Three behaviour keys holding the same trace.
     configs = [base.with_options(num_executors=n) for n in (1, 2, 3)]
     for config in configs:
         store.save(config, trace)
-    nbytes = store.path_for(configs[0]).stat().st_size
+    monkeypatch.setattr(store_module, "_LOAD_CACHE", OrderedDict())
+    nbytes = footprint(store.load(configs[0]))
+    assert [e.nbytes for e in store_module._LOAD_CACHE.values()] == [nbytes]
+    assert nbytes > 2 * store.path_for(configs[0]).stat().st_size
     monkeypatch.setattr(store_module, "_LOAD_CACHE", OrderedDict())
     monkeypatch.setattr(store_module, "_LOAD_CACHE_BYTES", 2 * nbytes)
 
@@ -193,6 +201,57 @@ def test_load_cache_is_bounded_by_artifact_bytes(tmp_path, monkeypatch):
     newest = store.load(configs[0])
     assert held() == [id(newest)]
     assert store.load(configs[0]) is newest
+
+
+def test_replay_plans_and_delta_tables_are_charged_on_every_load(
+    tmp_path, monkeypatch
+):
+    """An entry's charge grows with the plan and delta tables its
+    replays compile onto the decoded trace, and every load re-checks the
+    budget: two decoded traces fit, but once one has been replayed a
+    hit on the other evicts it."""
+    store = TraceStore(tmp_path)
+    configs = [
+        ExperimentConfig(workload=workload, size="tiny", tier=0)
+        for workload in ("sort", "repartition")
+    ]
+    for config in configs:
+        store.save(config, make_trace(config))
+    monkeypatch.setattr(store_module, "_LOAD_CACHE", OrderedDict())
+    replayed, other = (store.load(config) for config in configs)
+    entries = list(store_module._LOAD_CACHE.values())
+    decoded = sum(entry.nbytes for entry in entries)
+    monkeypatch.setattr(store_module, "_LOAD_CACHE_BYTES", decoded)
+
+    assert plan_bytes(replayed) == 0
+    for tier in (1, 2, 3):
+        fast_replay_experiment(configs[0].with_options(tier=tier), replayed)
+    plan = replayed._replay_plan[1]
+    assert plan.deltas.nbytes > 0
+    assert plan_bytes(replayed) == footprint(plan.jobs) + plan.deltas.nbytes
+    assert store_module._charge(entries[0]) == entries[0].nbytes + plan_bytes(replayed)
+    assert list(store_module._LOAD_CACHE) == [str(store.path_for(c)) for c in configs]
+
+    assert store.load(configs[1]) is other  # a hit, and the replayed trace goes
+    assert [entry.trace for entry in store_module._LOAD_CACHE.values()] == [other]
+
+
+def test_a_full_trace_directory_keeps_the_captured_results(tmp_path, disk_full):
+    """A trace write that fails with ENOSPC costs the reuse, not the
+    point: the capture's result stands, no temporary file is left, and
+    the store counts the failure.  The next point of the class finds no
+    artifact, captures again and saves it."""
+    configs = [ExperimentConfig(workload="sort", size="tiny", tier=t) for t in (0, 2)]
+    disk_full(store_module)
+    store_module.reset_stats()
+    report = run_campaign(configs, cache_dir=tmp_path)
+    assert [point.status for point in report.points] == ["captured", "captured"]
+    for point in report.points:
+        assert result_to_dict(point.result) == result_to_dict(run_experiment(point.config))
+    assert store_module.stats()["save_failed"] == 1
+    traces = tmp_path / "traces"
+    assert [p.name for p in traces.iterdir() if p.name.startswith(".tmp-")] == []
+    assert TraceStore(traces).exists(configs[0])
 
 
 # ------------------------------------------------------------ settled hits
@@ -348,5 +407,7 @@ def test_every_load_outcome_is_counted(tmp_path, monkeypatch):
     assert load_counts("verified_hits") is trace  # settles the entry
     assert load_counts("settled_hits") is trace
 
-    assert set(outcomes) == set(store_module.stats())
-    assert sum(store_module.stats().values()) == 9
+    counts = store_module.stats()
+    assert counts.pop("save_failed") == 0  # the one counter that is no load
+    assert set(outcomes) == set(counts)
+    assert sum(counts.values()) == 9

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.resultstore import result_to_dict
-from repro.core.experiment import ExperimentConfig
+from repro.core.experiment import ExperimentConfig, run_experiment
+from repro.runner.campaign import run_campaign
 from repro.trace import capture_experiment
 from repro.workloads import datacache, datagen
 from repro.workloads.base import SIZE_ORDER
@@ -284,7 +285,7 @@ def test_corrupt_artifact_is_regenerated_and_healed(sealed_artifact):
     fetched = datacache.fetch(name, params, lambda: columns(name, params))
     assert_same_dataset(fetched, value)
     assert datacache.stats() == {
-        "hits": 0, "misses": 1, "stores": 1, "memo_hits": 0,
+        "hits": 0, "misses": 1, "stores": 1, "store_failed": 0, "memo_hits": 0,
     }
     assert cache.load(name, params) is not None  # healed on disk
 
@@ -307,6 +308,26 @@ def test_store_failure_never_breaks_generation(tmp_path, monkeypatch):
     value = datacache.fetch(name, params, lambda: columns(name, params))
     assert_same_dataset(value, records(name, params))
 
+
+def test_a_full_dataset_directory_keeps_the_captured_results(tmp_path, disk_full):
+    """A dataset write that fails with ENOSPC costs the artifact, not the
+    point: both captures equal direct simulation, no temporary file is
+    left, and ``fetch`` counts the failure.  The second dataset, written
+    once the disk has room, is stored."""
+    configs = [
+        ExperimentConfig(workload=workload, size="tiny", tier=0)
+        for workload in ("sort", "wordcount")
+    ]
+    disk_full(datacache)
+    report = run_campaign(configs, cache_dir=tmp_path)
+    assert [point.status for point in report.points] == ["captured", "captured"]
+    for point in report.points:
+        assert result_to_dict(point.result) == result_to_dict(run_experiment(point.config))
+    stats = datacache.stats()
+    assert (stats["store_failed"], stats["stores"], stats["misses"]) == (1, 1, 2)
+    datasets = tmp_path / "datasets"
+    assert [p.name for p in datasets.iterdir() if p.name.startswith(".tmp-")] == []
+    assert len(DatasetCache(datasets).keys()) == 1
 
 
 # ------------------------------------------------------------- concurrency
@@ -350,7 +371,7 @@ def test_fetch_counts_miss_then_hit(tmp_path):
     datacache.fetch(name, params, lambda: columns(name, params))
     datacache.fetch(name, params, lambda: columns(name, params))
     assert datacache.stats() == {
-        "hits": 1, "misses": 1, "stores": 1, "memo_hits": 0,
+        "hits": 1, "misses": 1, "stores": 1, "store_failed": 0, "memo_hits": 0,
     }
 
 
@@ -360,7 +381,7 @@ def test_fetch_without_active_cache_just_generates():
     value = datacache.fetch(name, params, lambda: columns(name, params))
     assert_same_dataset(value, records(name, params))
     assert datacache.stats() == {
-        "hits": 0, "misses": 0, "stores": 0, "memo_hits": 0,
+        "hits": 0, "misses": 0, "stores": 0, "store_failed": 0, "memo_hits": 0,
     }
 
 
