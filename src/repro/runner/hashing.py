@@ -25,10 +25,8 @@ by a different build) re-hashes instead of replaying the old key.
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 from repro.analysis.resultstore import config_to_dict
+from repro.artifacts import canonical_key
 from repro.core.experiment import ExperimentConfig
 from repro.version import ENGINE_VERSION
 
@@ -44,12 +42,7 @@ def config_hash(config: ExperimentConfig) -> str:
     memo = config.__dict__.get("_config_hash_memo")
     if memo is not None and memo[0] == ENGINE_VERSION:
         return memo[1]
-    canonical = json.dumps(
-        {"engine": ENGINE_VERSION, "config": config_to_dict(config)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    digest = canonical_key({"engine": ENGINE_VERSION, "config": config_to_dict(config)})
     # The dataclass is frozen; bypassing its setattr guard is safe
     # because the memo is derived purely from the frozen fields.
     object.__setattr__(config, "_config_hash_memo", (ENGINE_VERSION, digest))

@@ -17,10 +17,10 @@ This package splits the engine accordingly:
   :func:`run_with_trace`, which captures on a trace miss, replays a hit
   and simulates directly when the config is not replayable or the
   replay raises :class:`ReplayDivergence`;
-- :mod:`repro.trace.store` — content-addressed gzipped artifacts stored
-  beside the campaign result cache, decoded once per process into an
-  LRU bounded by what its entries hold (pool workers each keep their
-  own).
+- :mod:`repro.trace.store` — content-addressed sealed column artifacts
+  (:mod:`repro.artifacts`, as datasets are) stored beside the campaign
+  result cache, decoded once per process into an LRU bounded by what its
+  entries hold (pool workers each keep their own).
 
 Entry points: :func:`capture_experiment`, :func:`fast_replay_experiment`
 and :func:`run_with_trace` (store-mediated capture-or-replay with the

@@ -25,7 +25,7 @@ evaluation ranks.  The first replay of a decoded trace compiles them
 plan kept on that trace object, keyed by the checksum every replay
 verifies plus the shuffle chunk size; later replays only bind a fresh
 ``TaskMetrics`` per task.  The plan is not a dataclass field, so it is
-never pickled, checksummed or compared, and it goes when the decoded
+never saved, checksummed or compared, and it goes when the decoded
 trace does.  Every burst still calls the device's ``service_time`` and
 ``record`` once.  What a burst's counters gain depends only on the burst
 and the kind of device, so the plan also owns
@@ -857,7 +857,7 @@ def _compiled_plan(trace: WorkloadTrace, chunk_bytes: int) -> _Plan:
     """``trace``'s compiled plan, built on its first replay.
 
     The plan is kept on the trace object (not a dataclass field, so it
-    is neither pickled, checksummed nor compared) under the checksum the
+    is neither saved, checksummed nor compared) under the checksum the
     caller has just verified plus the chunk size, so a trace whose
     residues were re-sealed compiles afresh.  It dies with the decoded
     trace, e.g. when :class:`~repro.trace.store.TraceStore`'s load cache

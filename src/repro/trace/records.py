@@ -1,4 +1,4 @@
-"""Canonical trace records: what one captured run looks like on disk.
+"""Canonical trace records: what one captured run leaves for replay.
 
 A :class:`WorkloadTrace` is the *behavioural residue* of one experiment:
 everything the workload computation decided (how many abstract compute
@@ -16,7 +16,8 @@ pairs for the ragged per-task I/O lists).  Batched ``ndarray.tolist()``
 conversion, vectorized aggregate sums and a whole-array checksum all
 operate on these columns directly.  Replay compiles the columns into
 per-task objects once per decoded trace (:mod:`repro.trace.fastreplay`),
-not once per replayed point.
+not once per replayed point.  :mod:`repro.trace.store` saves each field
+as one column over all task sets.
 """
 
 from __future__ import annotations
@@ -99,18 +100,6 @@ class TaskSetTrace:
     def num_tasks(self) -> int:
         return int(self.ints["task_id"].shape[0])
 
-    def __setstate__(self, state: dict[str, t.Any]) -> None:
-        # A protocol-5 pickle decodes each column as a view of its own
-        # bytearray: five objects, about four times the memory of a
-        # small column that owns its data.  Decoded columns own theirs.
-        state["floats"] = {k: np.array(v) for k, v in state["floats"].items()}
-        state["ints"] = {k: np.array(v) for k, v in state["ints"].items()}
-        state["io"] = {
-            k: (np.array(offsets), np.array(values))
-            for k, (offsets, values) in state["io"].items()
-        }
-        self.__dict__.update(state)
-
     def update_checksum(self, digest: "hashlib._Hash") -> None:
         digest.update(
             f"{self.stage_id}|{self.name}|{self.attempt}|"
@@ -143,9 +132,8 @@ class WorkloadTrace:
     untimed prepare phase, outside MBA throttling); the rest are the
     measured jobs.  ``verified`` and ``records_processed`` are the
     workload's outcome as a result reports it, recorded so a replayed
-    result carries them without recomputation; ``detail`` is the
-    workload's own summary.  The workload's output is not kept: no
-    result carries it.
+    result carries them without recomputation.  The workload's output is
+    not kept: no result carries it.
     """
 
     format_version: int
@@ -157,7 +145,6 @@ class WorkloadTrace:
     measured_from: int
     verified: bool
     records_processed: int
-    detail: dict[str, float]
     checksum: str = ""
 
     # -- integrity ----------------------------------------------------------------
@@ -172,21 +159,6 @@ class WorkloadTrace:
             for task_set in job.task_sets:
                 task_set.update_checksum(digest)
         return digest.hexdigest()
-
-    def __getstate__(self) -> dict[str, t.Any]:
-        # Only the dataclass fields are the artifact: attributes a replay
-        # caches on the decoded object (``fastreplay``'s compiled plan)
-        # never reach a pickle.
-        names = self.__dataclass_fields__
-        return {k: v for k, v in self.__dict__.items() if k in names}
-
-    def __setstate__(self, state: dict[str, t.Any]) -> None:
-        # The mirror of ``__getstate__``: only dataclass fields are
-        # decoded, so an artifact written when traces still stored the
-        # workload's output (the checksum never covered it) loads
-        # without it.
-        names = self.__dataclass_fields__
-        self.__dict__.update((k, v) for k, v in state.items() if k in names)
 
     def seal(self) -> "WorkloadTrace":
         self.checksum = self.compute_checksum()

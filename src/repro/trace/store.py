@@ -1,9 +1,9 @@
 """Content-addressed on-disk store for captured workload traces.
 
 Artifacts live beside the campaign's :class:`~repro.runner.cache.ResultCache`
-(``<cache_dir>/traces/``), one gzipped pickle per behaviour key::
+(``<cache_dir>/traces/``), one sealed artifact per behaviour key::
 
-    <root>/<trace_key>.trace.pkl.gz
+    <root>/<trace_key>.trace.bin
 
 The key is the SHA-256 of the canonical JSON of the config's *behaviour*
 fields (workload, size, executor geometry, faults, speculation — tier,
@@ -11,14 +11,20 @@ MBA level, CPU socket and label excluded) plus the engine and trace
 format versions, so any config sharing the behaviour resolves to the
 same artifact and artifacts from older engines simply miss.
 
-Writes are atomic (temp file + rename): two campaign workers capturing
-the same behaviour key race harmlessly — both write identical content.
+An artifact is a sealed container of columns (:mod:`repro.artifacts`),
+as a dataset's is.  Its header holds the trace's scalar fields and each
+task set's provenance and task count; its columns hold each residue
+field concatenated over all task sets, and the ``verified`` flag and
+``records_processed`` a replay reports, which the seal covers.  Older
+``*.trace.pkl.gz`` files are never opened.
+
 Loads go through a per-process LRU of decoded traces, one entry per
 artifact path, so a serial campaign replaying one behaviour class
-across twelve tier/MBA points decompresses its artifact once, not
-twelve times.  An entry keeps the stat signature ``(st_dev, st_ino,
-st_size, st_mtime_ns, st_ctime_ns)`` and a SHA-256 prefix of the bytes
-it was decoded from, and a load serves it in one of two ways:
+across twelve tier/MBA points decodes its artifact once, not twelve
+times.  An entry keeps the stat signature ``(st_dev, st_ino, st_size,
+st_mtime_ns, st_ctime_ns)`` and the SHA-256 of the bytes it was
+decoded from (:func:`repro.artifacts.digest`), and a load serves it in
+one of two ways:
 
 - **Re-verified**: the signature is equal and the bytes read now have
   the same digest.  A same-mtime overwrite (two captures landing within
@@ -35,7 +41,8 @@ it was decoded from, and a load serves it in one of two ways:
   again.  The one assumption is that the wall clock does not step back
   across the margin.
 
-Every other load reads, digests and, on a new digest, decodes.  The LRU
+Every other load digests the file and, on a new digest, reads, verifies
+and decodes it.  The LRU
 is bounded by what its entries hold in memory, not by entry count or
 artifact bytes: each entry is charged its decoded trace, sized once at
 decode, plus the replay plan :mod:`repro.trace.fastreplay` compiles
@@ -59,33 +66,25 @@ checksum before the trace is cached.
 
 from __future__ import annotations
 
-import gzip
-import hashlib
-import json
-import os
-import pickle
-import tempfile
+import itertools
 import time
 import typing as t
 from collections import OrderedDict
 from pathlib import Path
 
+import numpy as np
+
+from repro import artifacts
 from repro.trace.capture import behavior_dict
 from repro.trace.fastreplay import plan_bytes
-from repro.trace.records import WorkloadTrace, footprint
+from repro.trace.records import FLOAT_FIELDS, INT_FIELDS, IO_KINDS, footprint
+from repro.trace.records import JobTrace, TaskSetTrace, WorkloadTrace
 from repro.version import ENGINE_VERSION, TRACE_FORMAT_VERSION
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.experiment import ExperimentConfig
 
-_SUFFIX = ".trace.pkl.gz"
-
-#: Artifacts are write-once/read-many scratch files whose payloads
-#: (pickled float columns) barely deflate, so level 0 — gzip framing
-#: with stored blocks — trades a ~1.5x larger file for a save that
-#: costs ~50x less CPU during the capture phase.  The format stays
-#: plain gzip, so readers (and old artifacts) are unaffected.
-_GZIP_LEVEL = 0
+_SUFFIX = ".trace.bin"
 
 #: An artifact's stat signature: (st_dev, st_ino, st_size, st_mtime_ns,
 #: st_ctime_ns).
@@ -100,7 +99,8 @@ class _Entry(t.NamedTuple):
     #: adds what replays compiled onto it since).
     nbytes: int
     signature: _Signature
-    #: SHA-256 prefix of the bytes ``trace`` was decoded from.
+    #: SHA-256 of the artifact's bytes, taken before ``trace`` was
+    #: read and decoded from them.
     digest: str
     #: Read and digested more than ``_SETTLE_NS`` after the artifact's
     #: last mtime and ctime: an equal signature alone serves it.
@@ -167,16 +167,13 @@ def trace_key(config: "ExperimentConfig") -> str:
     memo = config.__dict__.get("_trace_key_memo")
     if memo is not None and memo[0] == versions:
         return memo[1]
-    canonical = json.dumps(
+    digest = artifacts.canonical_key(
         {
             "engine": ENGINE_VERSION,
             "trace_format": TRACE_FORMAT_VERSION,
             "behavior": behavior_dict(config),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+        }
     )
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     # Derived from frozen fields only, so the memo can never go stale.
     object.__setattr__(config, "_trace_key_memo", (versions, digest))
     return digest
@@ -193,7 +190,9 @@ class TraceStore:
         return self.root / f"{trace_key(config)}{_SUFFIX}"
 
     def exists(self, config: "ExperimentConfig") -> bool:
-        return self.path_for(config).exists()
+        """Whether an artifact whose seal verifies is stored for this
+        config's behaviour, so a scheduler plans a replay only on one."""
+        return isinstance(artifacts.read(self.path_for(config)), artifacts.Sealed)
 
     def keys(self) -> list[str]:
         return sorted(
@@ -205,29 +204,13 @@ class TraceStore:
         again if it was removed since the store was made).  A failed
         write leaves no temporary file; an ``OSError`` is counted as
         ``save_failed`` and re-raised."""
-        target = self.path_for(config)
-        payload = gzip.compress(
-            pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL), _GZIP_LEVEL
-        )
+        header, columns = _encode(trace)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.root, prefix=".tmp-", suffix=_SUFFIX
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, target)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            return artifacts.write(self.path_for(config), header, columns)
         except OSError:
             _STATS["save_failed"] += 1
             raise
-        return target
 
     def load(self, config: "ExperimentConfig") -> WorkloadTrace | None:
         """The stored trace for this config's behaviour, or ``None``.
@@ -259,27 +242,23 @@ class TraceStore:
             _fit_budget()
             _STATS["settled_hits"] += 1
             return entry.trace
-        try:
-            payload = path.read_bytes()
-        except FileNotFoundError:
-            _STATS["missing"] += 1
-            return None
-        except OSError:
-            _STATS["corrupt"] += 1
-            return None
-        digest = hashlib.sha256(payload).hexdigest()[:16]
         settled = now - max(stat.st_mtime_ns, stat.st_ctime_ns) > _SETTLE_NS
-        if entry is not None and entry.digest == digest:
+        # Taken before the read, so a write in between leaves the entry a
+        # digest older than its trace: the next load decodes again.
+        digest = artifacts.digest(path)
+        if entry is not None and digest == entry.digest:
             _LOAD_CACHE[key] = entry._replace(settled=settled)
             _LOAD_CACHE.move_to_end(key)
             _fit_budget()
             _STATS["verified_hits"] += 1
             return entry.trace
+        sealed = artifacts.read(path)
+        if isinstance(sealed, artifacts.Miss):
+            _STATS[sealed.reason] += 1
+            return None
         try:
-            trace = pickle.loads(gzip.decompress(payload))
-        except Exception:  # noqa: BLE001 - corrupt artifact == miss
-            trace = None
-        if not isinstance(trace, WorkloadTrace):
+            trace = _decode(sealed)
+        except (LookupError, TypeError, ValueError):  # not a trace's layout
             _STATS["corrupt"] += 1
             return None
         if (
@@ -297,6 +276,90 @@ class TraceStore:
         _fit_budget()
         _STATS["decodes"] += 1
         return trace
+
+
+#: The fields of a trace, and of each of its task sets, that an
+#: artifact's header holds.
+_SCALARS = (
+    "format_version", "engine_version", "behavior", "workload", "size",
+    "measured_from", "checksum",
+)
+_PROVENANCE = ("stage_id", "name", "attempt", "hdfs_path", "is_shuffle_map")
+
+
+def _encode(trace: WorkloadTrace) -> tuple[dict[str, t.Any], dict[str, np.ndarray]]:
+    """``trace`` as an artifact's header fields and columns."""
+    header = {name: getattr(trace, name) for name in _SCALARS}
+    header["jobs"] = [
+        {
+            "job_id": job.job_id,
+            "name": job.name,
+            "task_sets": [
+                {**{f: getattr(ts, f) for f in _PROVENANCE}, "num_tasks": ts.num_tasks}
+                for ts in job.task_sets
+            ],
+        }
+        for job in trace.jobs
+    ]
+    task_sets = [ts for job in trace.jobs for ts in job.task_sets]
+    columns = {
+        name: np.concatenate([ts.floats[name] for ts in task_sets]) for name in FLOAT_FIELDS
+    }
+    for name in INT_FIELDS:
+        columns[name] = np.concatenate([ts.ints[name] for ts in task_sets])
+    for kind in IO_KINDS:
+        for i, part in enumerate(("offsets", "values")):
+            columns[f"{kind}.{part}"] = np.concatenate([ts.io[kind][i] for ts in task_sets])
+    columns["outcome"] = np.array([trace.verified, trace.records_processed], np.int64)
+    return header, columns
+
+
+def _decode(sealed: artifacts.Sealed) -> WorkloadTrace:
+    """The trace in ``sealed``, its columns split into per-task-set copies;
+    raises ``LookupError``, ``TypeError`` or ``ValueError`` if not a trace."""
+    header = sealed.header
+    specs = [ts for job in header["jobs"] for ts in job["task_sets"]]
+    counts = [spec["num_tasks"] for spec in specs]
+    parts = {name: _split(sealed, name, counts) for name in (*FLOAT_FIELDS, *INT_FIELDS)}
+    for kind in IO_KINDS:
+        offsets = _split(sealed, f"{kind}.offsets", [n + 1 for n in counts])
+        values = _split(sealed, f"{kind}.values", [int(own[-1]) for own in offsets])
+        parts[kind] = list(zip(offsets, values))
+    task_sets = iter(
+        [
+            TaskSetTrace(
+                **{f: spec[f] for f in _PROVENANCE},
+                floats={name: parts[name][i] for name in FLOAT_FIELDS},
+                ints={name: parts[name][i] for name in INT_FIELDS},
+                io={kind: parts[kind][i] for kind in IO_KINDS},
+            )
+            for i, spec in enumerate(specs)
+        ]
+    )
+    jobs = [
+        JobTrace(job["job_id"], job["name"], [next(task_sets) for _ in job["task_sets"]])
+        for job in header["jobs"]
+    ]
+    ((verified, records_processed),) = _split(sealed, "outcome", [2])
+    return WorkloadTrace(
+        **{name: header[name] for name in _SCALARS},
+        jobs=jobs,
+        verified=bool(verified),
+        records_processed=int(records_processed),
+    )
+
+
+def _split(sealed: artifacts.Sealed, name: str, counts: list[int]) -> list[np.ndarray]:
+    """Column ``name`` cut into copies of ``counts`` elements each."""
+    column = sealed.columns[name]
+    # Float residues and I/O volumes; int counts, offsets and the outcome.
+    dtype = np.float64 if name in FLOAT_FIELDS or name.endswith(".values") else np.int64
+    if column.dtype != dtype or column.shape != (sum(counts),):
+        # The seal covers the payload, not the column table: a table that
+        # retyped or resized a column would reinterpret sealed bytes.
+        raise ValueError(f"column {name!r} is {column.dtype}{column.shape}")
+    ends = itertools.accumulate(counts)
+    return [column[end - n : end].copy() for n, end in zip(counts, ends)]
 
 
 def _charge(entry: _Entry) -> int:

@@ -6,9 +6,11 @@ derivation).  It is folded into every content-addressed key — result
 cache rows and trace artifacts — so artifacts produced by an older
 engine *miss* instead of silently serving stale values.
 
-``TRACE_FORMAT_VERSION`` changes when the on-disk layout of captured
-workload traces (:mod:`repro.trace`) changes; old artifacts are then
-treated as absent and re-captured.
+``TRACE_FORMAT_VERSION`` versions the record layout of captured
+workload traces (:mod:`repro.trace.records`) that the trace checksum
+covers; a new version changes every trace key, so old artifacts are
+treated as absent and re-captured.  The container a trace is stored in
+(:mod:`repro.artifacts`) is versioned by its file suffix and magic.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 #: previous release for the same :class:`ExperimentConfig`.
 ENGINE_VERSION = "4"
 
-#: Bump when :class:`repro.trace.records.WorkloadTrace` layout changes.
+#: Bump when the :class:`repro.trace.records.WorkloadTrace` record layout
+#: (what its checksum covers) changes.
 #: 2: per-task ``eval_rank``/``fixed_estimate`` columns replace ``weight``.
 TRACE_FORMAT_VERSION = 2
 

@@ -58,7 +58,6 @@ class WorkloadResult:
     verified: bool
     execution_time: float
     records_processed: int = 0
-    detail: dict[str, float] = field(default_factory=dict)
 
 
 class Workload:

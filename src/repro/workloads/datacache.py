@@ -22,16 +22,12 @@ pass pays it again.  This module gives datasets the same discipline
   hit returns what generation returns by construction.  Integer and
   float64 columns round-trip exactly; the generator parameters a
   decoder needs (the codec's ``meta`` keys) travel in the header.
-- **Atomic, sha256-sealed writes**: payload is assembled in memory,
-  written to a temp file and renamed into place; the header records the
-  SHA-256 of the column region and loads verify it, so torn or
-  corrupted files (and version-skewed ones) are misses, never wrong
-  data.  Concurrent writers race harmlessly — both write identical
-  bytes.
-- **Memory-mapped loads**: artifacts are mapped, verified and decoded
-  from zero-copy views.  Nothing decoded is kept here: repeats within
-  one process are answered by ``datagen``'s memo before they reach
-  this module.
+- **Sealed artifacts** (:mod:`repro.artifacts`, as traces are): written
+  atomically, mapped, verified and decoded from zero-copy views.  A torn
+  or corrupted file, or a header from another version or generator or
+  with another meta than the parameters give, is a miss, never wrong
+  data.  Nothing decoded is kept here: repeats within one process are
+  answered by ``datagen``'s memo before they reach this module.
 
 Hit/miss/store counters feed ``repro.perf``'s ``datagen.cache`` target
 and the benchmark harness's second-pass hit assertion.
@@ -39,15 +35,12 @@ and the benchmark harness's second-pass hit assertion.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import mmap
-import os
-import tempfile
 import typing as t
 from pathlib import Path
 
 import numpy as np
+
+from repro import artifacts
 
 __all__ = [
     "DATACACHE_VERSION",
@@ -64,9 +57,7 @@ __all__ = [
 #: Bump to invalidate every stored dataset artifact (codec change).
 DATACACHE_VERSION = 1
 
-_MAGIC = b"RDSC"
 _SUFFIX = ".dataset.bin"
-_ALIGN = 64
 
 #: A generated dataset as its artifact stores it: named numpy columns.
 Columns = dict[str, np.ndarray]
@@ -171,17 +162,14 @@ def dataset_key(name: str, params: dict) -> str:
     numpy contract, so artifacts generated under a different numpy
     build must miss rather than impersonate freshly generated data.
     """
-    canonical = json.dumps(
+    return artifacts.canonical_key(
         {
             "datacache": DATACACHE_VERSION,
             "numpy": np.__version__,
             "generator": name,
             "params": params,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+        }
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class DatasetCache:
@@ -199,125 +187,40 @@ class DatasetCache:
             p.name[: -len(_SUFFIX)] for p in self.root.glob(f"*{_SUFFIX}")
         )
 
-    # ---------------------------------------------------------------- write --
     def store(self, name: str, params: dict, columns: Columns) -> Path | None:
         """Atomically persist one dataset's columns; None if no codec."""
-        codec = _CODECS.get(name)
-        if codec is None:
+        header = _header(name, params)
+        if header is None:
             return None
-        ordered = [
-            (col_name, np.ascontiguousarray(arr))
-            for col_name, arr in sorted(columns.items())
-        ]
-        table = []
-        offset = 0
-        for col_name, arr in ordered:
-            offset = (offset + _ALIGN - 1) & ~(_ALIGN - 1)
-            table.append(
-                {
-                    "name": col_name,
-                    "dtype": arr.dtype.str,
-                    "shape": list(arr.shape),
-                    "offset": offset,
-                }
-            )
-            offset += arr.nbytes
-        payload = bytearray(offset)
-        for entry, (_, arr) in zip(table, ordered):
-            start = entry["offset"]
-            payload[start : start + arr.nbytes] = arr.tobytes()
-        header = json.dumps(
-            {
-                "version": DATACACHE_VERSION,
-                "generator": name,
-                "meta": codec.meta(params),
-                "columns": table,
-                "payload_sha256": hashlib.sha256(payload).hexdigest(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-        target = self.path_for(name, params)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=_SUFFIX
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(_MAGIC)
-                handle.write(len(header).to_bytes(8, "little"))
-                handle.write(header)
-                data_start = _aligned_data_start(len(header))
-                handle.write(b"\0" * (data_start - 12 - len(header)))
-                handle.write(payload)
-            os.replace(tmp_name, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        target = artifacts.write(self.path_for(name, params), header, columns)
         _STATS["stores"] += 1
         return target
 
-    # ----------------------------------------------------------------- read --
     def load(self, name: str, params: dict) -> list | None:
-        """Decode the stored dataset, or ``None`` on any kind of miss.
-
-        Missing file, bad magic, unparsable header, version skew, seal
-        mismatch and codec absence all resolve to a miss — the caller
-        regenerates (and overwrites the bad artifact).
-        """
-        codec = _CODECS.get(name)
-        if codec is None:
+        """Decode the stored dataset, or ``None`` on any kind of miss: no
+        codec, an artifact :func:`repro.artifacts.read` refuses, or a
+        header other than :meth:`store` writes for ``(name, params)``.
+        The caller regenerates (and overwrites the bad artifact)."""
+        header = _header(name, params)
+        if header is None:
             return None
-        try:
-            with open(self.path_for(name, params), "rb") as handle:
-                mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-                try:
-                    return self._decode(mapped, name, codec)
-                finally:
-                    mapped.close()
-        except (OSError, ValueError):
-            return None
-
-    def _decode(
-        self, mapped: mmap.mmap, name: str, codec: _Codec
-    ) -> list | None:
-        if len(mapped) < 12 or mapped[:4] != _MAGIC:
-            return None
-        header_len = int.from_bytes(mapped[4:12], "little")
-        if len(mapped) < 12 + header_len:
-            return None
-        try:
-            header = json.loads(mapped[12 : 12 + header_len].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if (
-            header.get("version") != DATACACHE_VERSION
-            or header.get("generator") != name
+        sealed = artifacts.read(self.path_for(name, params))
+        if isinstance(sealed, artifacts.Miss) or any(
+            sealed.header.get(key) != value for key, value in header.items()
         ):
             return None
-        data_start = _aligned_data_start(header_len)
-        view = memoryview(mapped)[data_start:]
-        if hashlib.sha256(view).hexdigest() != header.get("payload_sha256"):
-            return None
-        columns: Columns = {}
-        for entry in header["columns"]:
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(
-                view, dtype=dtype, count=count, offset=entry["offset"]
-            ).reshape(shape)
-            columns[entry["name"]] = arr
         try:
-            return codec.decode(columns, header.get("meta", {}))
+            return _CODECS[name].decode(sealed.columns, header["meta"])
         except Exception:  # noqa: BLE001 - undecodable artifact == miss
             return None
 
 
-def _aligned_data_start(header_len: int) -> int:
-    return (12 + header_len + _ALIGN - 1) & ~(_ALIGN - 1)
+def _header(name: str, params: dict) -> dict | None:
+    """The header fields stored with a dataset; None if it has no codec."""
+    codec = _CODECS.get(name)
+    if codec is None:
+        return None
+    return {"version": DATACACHE_VERSION, "generator": name, "meta": codec.meta(params)}
 
 
 # ------------------------------------------------------------- active cache --

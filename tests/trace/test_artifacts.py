@@ -1,21 +1,19 @@
-"""The 21 Fig. 2 trace artifacts: pinned checksums, their size, the
-load cache's charge for them, and artifacts written while traces still
-stored the workload's output."""
+"""The 21 Fig. 2 trace artifacts: pinned checksums, what they hold and
+their size, and the load cache's charge for them."""
 
 from __future__ import annotations
 
 import gc
-import gzip
 import tracemalloc
 from collections import OrderedDict
 
 import pytest
 
 import repro.trace.store as store_module
-from repro.analysis.resultstore import result_to_dict
-from repro.core.experiment import ExperimentConfig, run_experiment
+from repro import artifacts
+from repro.core.experiment import ExperimentConfig
 from repro.trace import TraceStore, capture_experiment, fast_replay_experiment
-from repro.trace.records import WorkloadTrace
+from repro.trace.records import FLOAT_FIELDS, INT_FIELDS, IO_KINDS
 from repro.workloads.base import SIZE_ORDER
 from repro.workloads.registry import WORKLOAD_NAMES
 
@@ -69,10 +67,26 @@ def test_fig2_trace_checksums_equal_their_pins(fig2):
 
 
 def test_fig2_artifacts_hold_only_what_replay_reads(fig2):
-    """No artifact stores the workload's output: the 21 together take
-    under 0.5 MB (6.19 MB when traces stored it)."""
+    """Each artifact holds the trace's scalar fields and provenance in its
+    header and 32 columns: the 31 residue fields, each concatenated over
+    all task sets, and the sealed outcome.  No artifact stores the
+    workload's output: the 21 together take under 0.5 MB (6.19 MB when
+    traces stored it)."""
     store, traces = fig2
-    assert all("output" not in trace.__getstate__() for trace in traces.values())
+    columns = {
+        *FLOAT_FIELDS,
+        *INT_FIELDS,
+        *(f"{kind}.{part}" for kind in IO_KINDS for part in ("offsets", "values")),
+        "outcome",
+    }
+    assert len(columns) == 32
+    for config in traces:
+        sealed = artifacts.read(store.path_for(config))
+        assert set(sealed.columns) == columns
+        assert set(sealed.header) == {
+            "format_version", "engine_version", "behavior", "workload", "size",
+            "measured_from", "checksum", "jobs", "columns", "payload_sha256",
+        }
     total = sum(store.path_for(config).stat().st_size for config in traces)
     assert total <= 500_000, total
 
@@ -104,47 +118,3 @@ def test_load_cache_charge_is_what_the_decoded_traces_hold(fig2, monkeypatch):
     assert len(entries) == len(traces)  # nothing was evicted
     charged = sum(map(store_module._charge, entries))
     assert abs(charged / (held - before) - 1) <= 0.25, (charged, held - before)
-
-
-def test_an_artifact_that_stored_the_output_loads_verifies_and_replays(
-    tmp_path, monkeypatch
-):
-    """Traces used to pickle the workload's output beside the residues,
-    outside the checksum, under the same key.  Such an artifact still
-    loads, verifies and replays equal to direct simulation, and its
-    output is dropped on decode."""
-    config = ExperimentConfig(workload="sort", size="tiny", tier=0)
-    _, trace = capture_experiment(config)
-    output = [f"stored-output-record-{i:04d}" for i in range(400)]
-    store = TraceStore(tmp_path)
-    fields_only = WorkloadTrace.__getstate__
-    with monkeypatch.context() as patch:
-        # How the artifact was written: every field plus the output.
-        patch.setattr(
-            WorkloadTrace,
-            "__getstate__",
-            lambda self: {**fields_only(self), "output": output},
-        )
-        path = store.save(config, trace)
-    assert b"stored-output-record-0399" in gzip.decompress(path.read_bytes())
-
-    monkeypatch.setattr(store_module, "_LOAD_CACHE", OrderedDict())
-    target = config.with_options(tier=2)
-    loaded = store.load(target)
-    assert loaded is not None and loaded.intact
-    assert loaded.checksum == trace.checksum
-    assert "output" not in vars(loaded)
-    columns = [
-        column
-        for job in loaded.jobs
-        for task_set in job.task_sets
-        for column in (
-            *task_set.floats.values(),
-            *task_set.ints.values(),
-            *(array for pair in task_set.io.values() for array in pair),
-        )
-    ]
-    assert all(column.flags.owndata for column in columns)  # no pickle views
-    assert result_to_dict(fast_replay_experiment(target, loaded)) == result_to_dict(
-        run_experiment(target)
-    )

@@ -63,7 +63,7 @@ def test_traces_live_beside_the_result_cache(tmp_path):
     first = run_campaign(GRID, cache_dir=tmp_path)
     first.raise_on_failure()
     assert (tmp_path / "traces").is_dir()
-    assert len(list((tmp_path / "traces").glob("*.trace.pkl.gz"))) == 2
+    assert len(list((tmp_path / "traces").glob("*.trace.bin"))) == 2
 
     # Same cache dir, resume: everything is a cache hit, traces unused.
     resumed = run_campaign(GRID, cache_dir=tmp_path)
@@ -148,3 +148,22 @@ def test_reuse_traces_off_never_touches_traces(tmp_path):
     report.raise_on_failure()
     assert report.captured == 0 and report.replayed == 0
     assert not (tmp_path / "traces").exists()
+
+
+def test_a_pooled_campaign_recaptures_a_corrupt_artifact_once(tmp_path):
+    """The pooled scheduler plans a replay only on an artifact whose seal
+    verifies: after a payload byte flips, one point captures the class
+    again and the others replay the rewritten artifact, instead of every
+    point missing and capturing."""
+    grid = [
+        ExperimentConfig(workload="repartition", size="tiny", tier=tier)
+        for tier in range(4)
+    ]
+    run_campaign(grid, workers=2, trace_dir=tmp_path).raise_on_failure()
+    (path,) = tmp_path.glob("*.trace.bin")
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    healed = run_campaign(grid, workers=2, trace_dir=tmp_path)
+    healed.raise_on_failure()
+    assert healed.captured == 1 and healed.replayed == len(grid) - 1

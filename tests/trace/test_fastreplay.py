@@ -4,8 +4,8 @@ replay → direct simulation fallback intact."""
 from __future__ import annotations
 
 import gc
-import pickle
 import sys
+import tempfile
 import weakref
 from collections import OrderedDict
 
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import artifacts
 from repro.analysis.resultstore import result_to_dict
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.memory.device import DeltaTables
@@ -48,6 +49,20 @@ def capture_for(config: ExperimentConfig):
         assert trace is not None
         _CAPTURES[key] = trace
     return trace
+
+
+def saved_bytes(config: ExperimentConfig, trace) -> bytes:
+    """The artifact ``TraceStore.save`` writes for ``trace``."""
+    with tempfile.TemporaryDirectory() as root:
+        return TraceStore(root).save(config, trace).read_bytes()
+
+
+def decoded_copy(config: ExperimentConfig, trace):
+    """``trace`` saved and decoded again, outside any load cache: a copy
+    with no plan compiled onto it."""
+    with tempfile.TemporaryDirectory() as root:
+        path = TraceStore(root).save(config, trace)
+        return store_module._decode(artifacts.read(path))
 
 
 # ------------------------------------------------------------------ property
@@ -207,14 +222,14 @@ def test_resealed_trace_replays_its_new_residues():
         fast_replay_experiment(config, trace)
 
 
-def test_replay_leaves_the_pickled_trace_unchanged():
+def test_replay_leaves_the_saved_trace_unchanged():
     """The compiled plan lives on the decoded object only: a replayed
-    trace pickles to the same bytes as before its first replay."""
+    trace saves to the same bytes as before its first replay."""
     config = ExperimentConfig(workload="sort", size="tiny")
     _, trace = capture_experiment(config)
-    before = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
+    before = saved_bytes(config, trace)
     fast_replay_experiment(config, trace)
-    assert pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL) == before
+    assert saved_bytes(config, trace) == before
 
 
 def test_behaviour_skew_raises_replaydivergence():
@@ -383,7 +398,7 @@ def test_plan_tables_are_fill_order_independent(workload, order):
     in any order: whichever point first fills a (technology, DIMM count)
     table with counter deltas, every replay equals ``run_experiment``."""
     base = ExperimentConfig(workload=workload, size="tiny")
-    trace = pickle.loads(pickle.dumps(capture_for(base)))  # no plan yet
+    trace = decoded_copy(base, capture_for(base))  # no plan yet
     for tier, mba, socket in order:
         point = base.with_options(tier=tier, mba_percent=mba, cpu_socket=socket)
         assert result_to_dict(fast_replay_experiment(point, trace)) == direct_result(

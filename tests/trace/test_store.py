@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import gzip
 import os
-import pickle
 import time
 from collections import OrderedDict
-from pathlib import Path
 
+from repro import artifacts
 from repro.analysis.resultstore import result_to_dict
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.runner.campaign import run_campaign
@@ -27,6 +25,11 @@ def make_trace(config):
     _, trace = capture_experiment(config)
     assert trace is not None
     return trace
+
+
+def artifact_bytes(root, config, trace) -> bytes:
+    """The bytes ``TraceStore.save`` writes for ``trace``."""
+    return TraceStore(root).save(config, trace).read_bytes()
 
 
 # ------------------------------------------------------------------- keying
@@ -62,6 +65,20 @@ def test_save_load_round_trip_supports_replay(tmp_path):
     loaded = store.load(config.with_options(tier=3))  # timing twin hits
     assert loaded is not None
     assert loaded.checksum == trace.checksum and loaded.intact
+    assert (loaded.verified, loaded.records_processed) == (
+        trace.verified, trace.records_processed
+    )
+    columns = [
+        column
+        for job in loaded.jobs
+        for task_set in job.task_sets
+        for column in (
+            *task_set.floats.values(),
+            *task_set.ints.values(),
+            *(array for pair in task_set.io.values() for array in pair),
+        )
+    ]
+    assert all(column.flags.owndata for column in columns)  # no views of the file
     target = config.with_options(tier=3)
     assert result_to_dict(fast_replay_experiment(target, loaded)) == result_to_dict(
         run_experiment(target)
@@ -85,11 +102,11 @@ def test_missing_and_corrupt_artifacts_miss(tmp_path):
 
     store.save(config, make_trace(config))
     path = store.path_for(config)
-    path.write_bytes(b"not a gzip stream")
+    path.write_bytes(b"not a sealed artifact")
     assert store.load(config) is None  # unreadable
 
-    path.write_bytes(gzip.compress(pickle.dumps({"not": "a trace"})))
-    assert store.load(config) is None  # wrong payload type
+    artifacts.write(path, {"not": "a trace"}, {})
+    assert store.load(config) is None  # sealed, but not a trace
 
 
 def test_tampered_residues_fail_the_checksum_on_load(tmp_path):
@@ -99,6 +116,30 @@ def test_tampered_residues_fail_the_checksum_on_load(tmp_path):
     trace.jobs[-1].task_sets[0].floats["compute_ops"][0] += 1.0  # post-seal
     store.save(config, trace)
     assert store.load(config) is None
+
+
+def test_the_outcome_a_replay_reports_is_sealed(tmp_path, monkeypatch):
+    """``verified`` and ``records_processed``, which the trace checksum
+    does not cover, are stored in the sealed payload: a flipped byte in
+    their column is a checksum miss, never a replay reporting it."""
+    config = ExperimentConfig(workload="sort", size="tiny", tier=0)
+    store = TraceStore(tmp_path)
+    trace = make_trace(config)
+    path = store.save(config, trace)
+    sealed = artifacts.read(path)
+    (entry,) = [e for e in sealed.header["columns"] if e["name"] == "outcome"]
+    assert sealed.columns["outcome"].tolist() == [1, trace.records_processed]
+    del sealed
+    raw = bytearray(path.read_bytes())
+    # The payload starts at the first 64-byte boundary after the header.
+    payload_start = (12 + int.from_bytes(raw[4:12], "little") + 63) & ~63
+    raw[payload_start + entry["offset"]] ^= 0x01  # verified 1 -> 0
+    path.write_bytes(bytes(raw))
+    assert artifacts.read(path) == artifacts.Miss("checksum")
+    monkeypatch.setattr(store_module, "_LOAD_CACHE", OrderedDict())
+    store_module.reset_stats()
+    assert store.load(config) is None
+    assert store_module.stats()["checksum"] == 1
 
 
 def test_version_skewed_artifact_misses_via_its_key(tmp_path, monkeypatch):
@@ -143,11 +184,11 @@ def test_same_mtime_overwrite_is_not_served_stale(tmp_path):
     replacement.jobs[-1].task_sets[0].floats["compute_ops"][0] += 1.0
     replacement.seal()  # recompute the checksum over the mutated residue
 
-    # compresslevel=0 stores the pickles verbatim, so equal-length
-    # pickles give equal-length artifacts — size cannot tell them apart.
-    payload_a = gzip.compress(pickle.dumps(original), compresslevel=0)
-    payload_b = gzip.compress(pickle.dumps(replacement), compresslevel=0)
-    assert len(payload_a) == len(payload_b)
+    # One changed value in a column: equal-length artifacts, so size
+    # cannot tell them apart.
+    payload_a = artifact_bytes(tmp_path / "a", config, original)
+    payload_b = artifact_bytes(tmp_path / "b", config, replacement)
+    assert len(payload_a) == len(payload_b) and payload_a != payload_b
 
     path = store.path_for(config)
     path.write_bytes(payload_a)
@@ -242,9 +283,9 @@ def test_a_full_trace_directory_keeps_the_captured_results(tmp_path, disk_full):
     the store counts the failure.  The next point of the class finds no
     artifact, captures again and saves it."""
     configs = [ExperimentConfig(workload="sort", size="tiny", tier=t) for t in (0, 2)]
-    disk_full(store_module)
+    disk_full(artifacts)  # no dataset cache: the first write is the trace
     store_module.reset_stats()
-    report = run_campaign(configs, cache_dir=tmp_path)
+    report = run_campaign(configs, cache_dir=tmp_path, dataset_cache=False)
     assert [point.status for point in report.points] == ["captured", "captured"]
     for point in report.points:
         assert result_to_dict(point.result) == result_to_dict(run_experiment(point.config))
@@ -257,12 +298,11 @@ def test_a_full_trace_directory_keeps_the_captured_results(tmp_path, disk_full):
 # ------------------------------------------------------------ settled hits
 
 def _counting_reads(monkeypatch) -> list:
-    """Record every ``Path.read_bytes`` call."""
+    """Record every load that reads the artifact's bytes: each digests
+    them once (a decode then also verifies them)."""
     reads = []
-    real = Path.read_bytes
-    monkeypatch.setattr(
-        Path, "read_bytes", lambda self: reads.append(self) or real(self)
-    )
+    real = artifacts.digest
+    monkeypatch.setattr(artifacts, "digest", lambda path: reads.append(path) or real(path))
     return reads
 
 
@@ -303,9 +343,9 @@ def test_settled_hit_reads_no_bytes_and_a_later_rewrite_is_served_fresh(
     replacement = make_trace(config)
     replacement.jobs[-1].task_sets[0].floats["compute_ops"][0] += 1.0
     replacement.seal()
-    payload_a = gzip.compress(pickle.dumps(original), compresslevel=0)
-    payload_b = gzip.compress(pickle.dumps(replacement), compresslevel=0)
-    assert len(payload_a) == len(payload_b)
+    payload_a = artifact_bytes(tmp_path / "a", config, original)
+    payload_b = artifact_bytes(tmp_path / "b", config, replacement)
+    assert len(payload_a) == len(payload_b) and payload_a != payload_b
 
     path = store.path_for(config)
     path.write_bytes(payload_a)
@@ -382,9 +422,9 @@ def test_every_load_outcome_is_counted(tmp_path, monkeypatch):
         return loaded
 
     assert load_counts("missing") is None
-    path.write_bytes(b"not a gzip stream")
+    path.write_bytes(b"not a sealed artifact")
     assert load_counts("corrupt") is None
-    path.write_bytes(gzip.compress(pickle.dumps({"not": "a trace"})))
+    artifacts.write(path, {"not": "a trace"}, {})
     assert load_counts("corrupt") is None
 
     skewed = make_trace(config)

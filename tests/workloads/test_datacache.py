@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import artifacts
 from repro.analysis.resultstore import result_to_dict
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.runner.campaign import run_campaign
@@ -290,6 +291,21 @@ def test_corrupt_artifact_is_regenerated_and_healed(sealed_artifact):
     assert cache.load(name, params) is not None  # healed on disk
 
 
+def test_a_stored_meta_other_than_the_params_give_is_a_miss(tmp_path):
+    """The seal covers the payload, not the header: an artifact whose
+    stored meta is not the meta its parameters give is a miss, never
+    records decoded with the stored meta."""
+    name, params = "random_text_records", {"n": 4, "record_len": 4, "seed": 0}
+    cache = DatasetCache(tmp_path)
+    blob = np.frombuffer(b"abcdefghijklmnop", np.uint8)
+    path = cache.store(name, params, {"blob": blob})
+    assert cache.load(name, params) == ["abcd", "efgh", "ijkl", "mnop"]
+    raw = path.read_bytes()
+    assert raw.count(b'"record_len":4') == 1
+    path.write_bytes(raw.replace(b'"record_len":4', b'"record_len":8'))
+    assert cache.load(name, params) is None
+
+
 def test_version_skew_is_a_miss(sealed_artifact, monkeypatch):
     cache, name, params, _, _ = sealed_artifact
     monkeypatch.setattr(datacache, "DATACACHE_VERSION", 999)
@@ -318,7 +334,7 @@ def test_a_full_dataset_directory_keeps_the_captured_results(tmp_path, disk_full
         ExperimentConfig(workload=workload, size="tiny", tier=0)
         for workload in ("sort", "wordcount")
     ]
-    disk_full(datacache)
+    disk_full(artifacts)  # the first write is sort's dataset
     report = run_campaign(configs, cache_dir=tmp_path)
     assert [point.status for point in report.points] == ["captured", "captured"]
     for point in report.points:
