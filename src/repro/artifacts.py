@@ -14,8 +14,12 @@ of one key race harmlessly, as they write equal bytes.
 :func:`read` returns the header and zero-copy column views, or a
 :class:`Miss`: ``missing``, ``corrupt`` or ``checksum``.  Nothing read
 is executed.  The seal covers the payload, not the header, so callers
-check every header field they rely on.  :func:`digest` tells, without
-verifying again, that an artifact is unchanged since it was read.
+check every header field they rely on.  :func:`read` itself refuses a
+column table other than :func:`write` lays out (name order, each column
+on the boundary after the one before, filling the payload), so no
+column is read from another's bytes; callers check each column's dtype
+and shape.  :func:`digest` tells, without verifying again, that an
+artifact is unchanged since it was read.
 """
 
 from __future__ import annotations
@@ -121,17 +125,29 @@ def read(path: Path) -> Sealed | Miss:
         if data[: len(_MAGIC)] != _MAGIC:
             raise ValueError("bad magic")
         header = json.loads(data[_PREFIX : _PREFIX + header_len])
-        for entry in header["columns"]:
+        table = header["columns"]
+        names = [entry["name"] for entry in table]
+        if names != sorted(set(names)):
+            raise ValueError("columns out of name order")
+        end = 0
+        for entry in table:
             shape = tuple(entry["shape"])
             if min(shape, default=0) < 0:
                 raise ValueError(f"shape {shape}")
-            columns[entry["name"]] = np.frombuffer(
+            if entry["offset"] != _aligned(end):
+                raise ValueError(f"column {entry['name']!r} out of place")
+            column = np.frombuffer(
                 payload, np.dtype(entry["dtype"]), math.prod(shape), entry["offset"]
             ).reshape(shape)
+            columns[entry["name"]] = column
+            end = entry["offset"] + column.nbytes
+        if end != len(payload):
+            raise ValueError("columns do not fill the payload")
         expected = header["payload_sha256"]
     except (LookupError, TypeError, ValueError):
         # A bad magic, a torn or unparsable header, or a column table
-        # the payload cannot hold (a file cut short).
+        # other than :func:`write` lays out for the payload (a file cut
+        # short, a column resized or pointed at another's bytes).
         return Miss("corrupt")
     if hashlib.sha256(payload).hexdigest() != expected:
         return Miss("checksum")

@@ -50,7 +50,7 @@ import typing as t
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -200,6 +200,27 @@ def _execute_point(
             }
         )
     return result, status
+
+
+def _shared_datasets(
+    points: list[CampaignPoint],
+) -> dict[int, tuple[str, str]]:
+    """Index → ``(workload, size)`` of each point that may capture a
+    trace (the first replayable point of its behaviour class) and
+    prepares the same dataset as another such point.  ``prepare`` reads
+    only the workload and size, so the cells of an executor × cores
+    grid, each its own class, share one."""
+    from repro.trace import is_replayable_config, trace_key
+
+    classes: set[str] = set()
+    captures: dict[int, tuple[str, str]] = {}
+    for point in points:
+        config = point.config
+        if is_replayable_config(config)[0] and trace_key(config) not in classes:
+            classes.add(trace_key(config))
+            captures[point.index] = (config.workload, config.size)
+    counts = Counter(captures.values())
+    return {i: dataset for i, dataset in captures.items() if counts[dataset] > 1}
 
 
 def _coerce_obs_config(observe: t.Any) -> "t.Any | None":
@@ -662,27 +683,45 @@ class CampaignRunner:
         """Run the points in this process, in submission order: the
         first point of a behaviour class captures its trace and later
         ones replay it, and a repeated config takes the first copy's
-        result (``deduped``) or error."""
+        result (``deduped``) or error.  Captures that prepare the same
+        dataset share one :func:`~repro.workloads.datagen.transient_memo`
+        memo, dropped after the last of them."""
+        from repro.workloads import datagen
+
         resources = self._resources["run"]
         first: dict[str, CampaignPoint] = {}
+        shared = _shared_datasets(pending) if resources.trace_root else {}
+        left = Counter(shared.values())
+        memos: dict[tuple[str, str], dict] = {}
         with resources.datasets_installed():
             for point in pending:
                 primary = first.setdefault(config_hash(point.config), point)
+                dataset = shared.get(point.index)
                 if primary is not point:
                     point.result, point.error = primary.result, primary.error
                     point.status = (
                         STATUS_FAILED if primary.error else STATUS_DEDUPED
                     )
                 else:
+                    scope = (
+                        nullcontext()
+                        if dataset is None
+                        else datagen.transient_memo(memos.setdefault(dataset, {}))
+                    )
                     try:
-                        point.result, point.status = _execute_point(
-                            point.config, *resources.roots
-                        )
+                        with scope:
+                            point.result, point.status = _execute_point(
+                                point.config, *resources.roots
+                            )
                         if self.cache is not None:
                             self.cache.put(point.config, point.result)
                     except Exception as exc:  # noqa: BLE001 - point isolation
                         point.error = f"{type(exc).__name__}: {exc}"
                         point.status = STATUS_FAILED
+                if dataset is not None:
+                    left[dataset] -= 1
+                    if not left[dataset]:
+                        del memos[dataset]
                 self._emit_progress(report, started, point)
 
     def _run_pooled(
@@ -701,17 +740,13 @@ class CampaignRunner:
         async def campaign() -> None:
             resolved: asyncio.Queue = asyncio.Queue()
 
-            def hand_back(job: t.Any, point: CampaignPoint) -> None:
-                service.jobs.pop(job.id, None)  # a kept runner holds no jobs
-                resolved.put_nowait((job, point))
-
             # Admit the whole campaign: no submission may be refused.
             limit = len(pending) + int(service.summary()["active"])
             service.max_queue = service.max_inflight_per_client = limit
             for point in pending:
                 job = await service.submit(point.config, client="campaign")
                 job.future.add_done_callback(
-                    lambda _, job=job, point=point: hand_back(job, point)
+                    lambda _, pair=(job, point): resolved.put_nowait(pair)
                 )
             for _ in pending:
                 job, point = await resolved.get()

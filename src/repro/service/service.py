@@ -200,14 +200,14 @@ class ExperimentService:
         #: trace keys whose artifact was found on disk: their jobs
         #: dispatch without another ``stat``.
         self._traced: set[str] = set()
-        #: every non-terminal job (drain waits for this to empty).
-        self._active: set[Job] = set()
+        #: id → every non-terminal job (drain waits for this to empty);
+        #: a job leaves it as it resolves, fails or is cancelled.
+        self.jobs: dict[int, Job] = {}
         #: client → its non-terminal jobs, and the active jobs in state
         #: QUEUED: running counts kept by ``_activate``/``_retire`` and
         #: the QUEUED transitions, so admission reads them in O(1).
         self._inflight: dict[str, int] = {}
         self._queued = 0
-        self.jobs: dict[int, Job] = {}
         self._state_changed: asyncio.Event | None = None
         self._heartbeat_task: asyncio.Task | None = None
         # Execution resources --------------------------------------------------
@@ -296,10 +296,10 @@ class ExperimentService:
         submissions raise :class:`ServiceClosedError`.
         """
         self._closed = True
-        if self._active:
-            self.log.info("service.drain", active=len(self._active))
+        if self.jobs:
+            self.log.info("service.drain", active=len(self.jobs))
         assert self._state_changed is not None
-        while self._active:
+        while self.jobs:
             await self._state_changed.wait()
             self._state_changed.clear()
 
@@ -315,7 +315,7 @@ class ExperimentService:
         """
         self._closed = True
         if cancel_queued:
-            for job in list(self._active):
+            for job in list(self.jobs.values()):
                 if job.state in (QUEUED, COALESCED):
                     self._cancel_job(job)
         if drain:
@@ -395,7 +395,6 @@ class ExperimentService:
             service=self,
             history=self.event_history,
         )
-        self.jobs[job.id] = job
         primary = self._primary.get(key)
         if primary is not None:
             self._attach_follower(job, primary)
@@ -459,7 +458,7 @@ class ExperimentService:
             "events_dropped": get("service.events_dropped"),
             "queued": float(self._queue_depth()),
             "running": float(len(self._running)),
-            "active": float(len(self._active)),
+            "active": float(len(self.jobs)),
         }
 
     def flat_summary(self) -> dict[str, float]:
@@ -500,18 +499,17 @@ class ExperimentService:
         return self._queued
 
     def _activate(self, job: Job) -> None:
-        """Admit ``job`` (QUEUED or COALESCED) to the non-terminal set."""
-        self._active.add(job)
+        """Admit ``job`` (QUEUED or COALESCED) to the non-terminal jobs."""
+        self.jobs[job.id] = job
         self._inflight[job.client] = self._inflight.get(job.client, 0) + 1
         if job.state == QUEUED:
             self._queued += 1
 
     def _retire(self, job: Job, state: str) -> None:
         """Move ``job`` to the terminal ``state``, leaving the
-        non-terminal set if it was admitted (a result-cache hit never
+        non-terminal jobs if it was admitted (a result-cache hit never
         was)."""
-        if job in self._active:
-            self._active.remove(job)
+        if self.jobs.pop(job.id, None) is not None:
             left = self._inflight[job.client] - 1
             if left:
                 self._inflight[job.client] = left
@@ -524,7 +522,7 @@ class ExperimentService:
     def _set_gauges(self) -> None:
         self.metrics.set_gauge("service.queue_depth", self._queue_depth())
         self.metrics.set_gauge("service.running", len(self._running))
-        self.metrics.set_gauge("service.active", len(self._active))
+        self.metrics.set_gauge("service.active", len(self.jobs))
 
     def _notify(self) -> None:
         if self._state_changed is not None:

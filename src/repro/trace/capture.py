@@ -40,6 +40,7 @@ from repro.spark.context import SparkContext
 from repro.telemetry.collector import TelemetryCollector
 from repro.trace.records import JobTrace, WorkloadTrace, build_task_set_trace
 from repro.version import ENGINE_VERSION, TRACE_FORMAT_VERSION
+from repro.workloads import datagen
 from repro.workloads.registry import get_workload
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -252,9 +253,13 @@ def capture_experiment(
     """Run ``config`` through the real engine, recording its trace.
 
     Mirrors :func:`repro.core.experiment.run_experiment` step for step —
-    the returned result is bit-identical to an unrecorded run.  The
-    trace is ``None`` when the run did something replay cannot reproduce
-    (fault-tolerance activity, nested jobs, off-job simulated time).
+    the returned result is bit-identical to an unrecorded run, but the
+    prepare phase keeps its dataset in the enclosing
+    :func:`repro.workloads.datagen.transient_memo` block's memo (its
+    own, dropped after prepare, when there is none), not in the process
+    memo.  The trace is ``None`` when the run did something replay
+    cannot reproduce (fault-tolerance activity, nested jobs, off-job
+    simulated time).
     An optional :class:`repro.obs.Observer` records spans alongside the
     trace capture; the two observation channels are independent.
     """
@@ -290,11 +295,14 @@ def capture_experiment(
             captured=True,
         )
 
-    if tracer is not None:
-        with tracer.span("prepare", cat="phase"):
+    # Later points of this class replay without a dataset, so the
+    # capture leaves datagen's process memo as it found it.
+    with datagen.transient_memo():
+        if tracer is not None:
+            with tracer.span("prepare", cat="phase"):
+                workload.prepare(sc, config.size)
+        else:
             workload.prepare(sc, config.size)
-    else:
-        workload.prepare(sc, config.size)
     recorder.mark_measured()
 
     collector = TelemetryCollector(env, machine, metrics=sc.metrics)

@@ -22,12 +22,19 @@ pass pays it again.  This module gives datasets the same discipline
   hit returns what generation returns by construction.  Integer and
   float64 columns round-trip exactly; the generator parameters a
   decoder needs (the codec's ``meta`` keys) travel in the header.
+  Each codec also declares its column table: every column's name,
+  dtype and rank, and the lengths the generator's parameters fix.
 - **Sealed artifacts** (:mod:`repro.artifacts`, as traces are): written
   atomically, mapped, verified and decoded from zero-copy views.  A torn
-  or corrupted file, or a header from another version or generator or
-  with another meta than the parameters give, is a miss, never wrong
-  data.  Nothing decoded is kept here: repeats within one process are
-  answered by ``datagen``'s memo before they reach this module.
+  or corrupted file, a header from another version or generator or
+  with another meta than the parameters give, or a column table other
+  than the codec declares for them (the seal covers the payload, not
+  the table) is a miss, never wrong data.  Nothing decoded is kept
+  here.  Within one process, datagen's memo answers a direct run's
+  repeats before they reach this module.  A trace capture keeps its
+  dataset only for the later captures of a serial campaign that share
+  it, so a later direct run of its class (a fault-injected point, a
+  fallback after a replay divergence) reads the artifact it wrote.
 
 Hit/miss/store counters feed ``repro.perf``'s ``datagen.cache`` target
 and the benchmark harness's second-pass hit assertion.
@@ -70,28 +77,56 @@ _STATS = {"hits": 0, "misses": 0, "stores": 0, "store_failed": 0, "memo_hits": 0
 #: Builds a dataset's records from its columns and meta.
 _Decode = t.Callable[[Columns, dict], list]
 
+#: A dataset's column table as its generator's parameters give it:
+#: name -> (dtype, shape), ``None`` for a length they leave free.
+_Table = dict[str, tuple[np.dtype, tuple[int | None, ...]]]
+
+_U1, _I8, _F8 = np.dtype(np.uint8), np.dtype(np.int64), np.dtype(np.float64)
+
 
 class _Codec(t.NamedTuple):
     decode: _Decode
     #: Generator parameters ``decode`` reads, stored as the meta.
     meta_keys: tuple[str, ...]
+    #: The column table of a dataset, from its generator's parameters.
+    table: t.Callable[[dict], _Table]
 
     def meta(self, params: dict) -> dict:
         return {key: params[key] for key in self.meta_keys}
+
+    def fits(self, columns: Columns, params: dict) -> bool:
+        """Whether ``columns`` are the names, dtypes and shapes the
+        generator's ``params`` give."""
+        table = self.table(params)
+        return columns.keys() == table.keys() and all(
+            columns[name].dtype == dtype
+            and len(columns[name].shape) == len(shape)
+            and all(
+                want is None or got == want
+                for got, want in zip(columns[name].shape, shape)
+            )
+            for name, (dtype, shape) in table.items()
+        )
 
 
 _CODECS: dict[str, _Codec] = {}
 
 
-def _codec(name: str, *meta_keys: str) -> t.Callable[[_Decode], _Decode]:
+def _codec(
+    name: str, *meta_keys: str, table: t.Callable[[dict], _Table]
+) -> t.Callable[[_Decode], _Decode]:
     def register(decode: _Decode) -> _Decode:
-        _CODECS[name] = _Codec(decode, meta_keys)
+        _CODECS[name] = _Codec(decode, meta_keys, table)
         return decode
 
     return register
 
 
-@_codec("random_text_records", "record_len")
+@_codec(
+    "random_text_records",
+    "record_len",
+    table=lambda p: {"blob": (_U1, (p["n"] * p["record_len"],))},
+)
 def _text_records(columns: Columns, meta: dict) -> list:
     record_len = meta["record_len"]
     text = columns["blob"].tobytes().decode("ascii")
@@ -101,13 +136,20 @@ def _text_records(columns: Columns, meta: dict) -> list:
     ]
 
 
-@_codec("zipf_words", "vocabulary")
+@_codec("zipf_words", "vocabulary", table=lambda p: {"ranks": (_I8, (p["n"],))})
 def _zipf_words(columns: Columns, meta: dict) -> list:
     names = [f"word{rank}" for rank in range(1, meta["vocabulary"] + 1)]
     return [names[rank - 1] for rank in columns["ranks"].tolist()]
 
 
-@_codec("rating_triples")
+@_codec(
+    "rating_triples",
+    table=lambda p: {
+        "users": (_I8, (p["n_ratings"],)),
+        "products": (_I8, (p["n_ratings"],)),
+        "ratings": (_F8, (p["n_ratings"],)),
+    },
+)
 def _rating_triples(columns: Columns, meta: dict) -> list:
     return list(
         zip(
@@ -118,7 +160,14 @@ def _rating_triples(columns: Columns, meta: dict) -> list:
     )
 
 
-@_codec("labeled_documents", "vocabulary")
+@_codec(
+    "labeled_documents",
+    "vocabulary",
+    table=lambda p: {
+        "labels": (_I8, (p["n_docs"],)),
+        "word_ids": (_I8, (p["n_docs"], p["words_per_doc"])),
+    },
+)
 def _labeled_documents(columns: Columns, meta: dict) -> list:
     # Gather the interned name strings in C: fancy-indexing an object
     # array emits the same str objects per id as a per-element lookup,
@@ -130,7 +179,13 @@ def _labeled_documents(columns: Columns, meta: dict) -> list:
     return list(zip(labels, names[columns["word_ids"]].tolist()))
 
 
-@_codec("labeled_vectors")
+@_codec(
+    "labeled_vectors",
+    table=lambda p: {
+        "labels": (_I8, (p["n_examples"],)),
+        "points": (_F8, (p["n_examples"], p["n_features"])),
+    },
+)
 def _labeled_vectors(columns: Columns, meta: dict) -> list:
     # Copy out of the mapping: callers receive writable row views of
     # one contiguous matrix.
@@ -138,12 +193,22 @@ def _labeled_vectors(columns: Columns, meta: dict) -> list:
     return list(zip(columns["labels"].tolist(), points))
 
 
-@_codec("bag_of_words_docs")
+@_codec(
+    "bag_of_words_docs",
+    table=lambda p: {"word_ids": (_I8, (p["n_docs"], p["words_per_doc"]))},
+)
 def _bag_of_words(columns: Columns, meta: dict) -> list:
     return columns["word_ids"].tolist()
 
 
-@_codec("web_graph")
+@_codec(
+    "web_graph",
+    table=lambda p: {
+        "offsets": (_I8, (p["n_pages"] + 1,)),
+        # The outlink count is drawn, not given; the container pins it.
+        "targets": (_I8, (None,)),
+    },
+)
 def _web_graph(columns: Columns, meta: dict) -> list:
     # CSR: page ids are dense 0..n-1, so only offsets + targets exist.
     offsets = columns["offsets"].tolist()
@@ -198,19 +263,24 @@ class DatasetCache:
 
     def load(self, name: str, params: dict) -> list | None:
         """Decode the stored dataset, or ``None`` on any kind of miss: no
-        codec, an artifact :func:`repro.artifacts.read` refuses, or a
-        header other than :meth:`store` writes for ``(name, params)``.
+        codec, an artifact :func:`repro.artifacts.read` refuses, a
+        header other than :meth:`store` writes for ``(name, params)``,
+        or a column table other than the codec declares for ``params``.
         The caller regenerates (and overwrites the bad artifact)."""
         header = _header(name, params)
         if header is None:
             return None
+        codec = _CODECS[name]
         sealed = artifacts.read(self.path_for(name, params))
-        if isinstance(sealed, artifacts.Miss) or any(
-            sealed.header.get(key) != value for key, value in header.items()
+        if (
+            isinstance(sealed, artifacts.Miss)
+            or any(sealed.header.get(key) != value for key, value in header.items())
+            # A retyped or reshaped column would reinterpret sealed bytes.
+            or not codec.fits(sealed.columns, params)
         ):
             return None
         try:
-            return _CODECS[name].decode(sealed.columns, header["meta"])
+            return codec.decode(sealed.columns, header["meta"])
         except Exception:  # noqa: BLE001 - undecodable artifact == miss
             return None
 

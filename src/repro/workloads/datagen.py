@@ -13,13 +13,21 @@ Callers always receive records, and fresh and cached datasets share one
 decode path.  Two engine-level speedups live here, both
 value-identical by construction:
 
-* **Memoization** — results are cached per ``(generator, args)``.  A
-  tier sweep re-prepares the same seeded dataset once per tier; the
-  cache collapses that to one generation (generators are pure functions
-  of their arguments).  Callers get a fresh top-level list each time;
-  record objects are shared and treated as immutable by the workloads.
-  The memo is what answers every repeat within a process; the artifact
-  cache only serves its misses.
+* **Memoization** — direct runs cache results per
+  ``(generator, args)``.  A tier sweep of direct runs re-prepares the
+  same seeded dataset once per tier; the memo collapses that to one
+  generation (generators are pure functions of their arguments).
+  Callers get a fresh top-level list each time; record objects are
+  shared and treated as immutable by the workloads.  A trace capture
+  prepares its workload inside :func:`transient_memo`: a lookup still
+  hits the memo, but a miss is kept in the block's own memo.  Every
+  later point of a captured class replays without a dataset, so a lone
+  capture keeps nothing past its prepare phase; a serial campaign
+  holds one block memo across the captures that prepare one dataset
+  (an executor × cores grid's cells) and drops it after the last.  A
+  direct run that needs the dataset again reads the artifact the
+  capture wrote.  The memo answers every repeat of a direct run within
+  a process; the artifact cache only serves its misses.
 * **Batched drawing** — each column is drawn in as few RNG calls as the
   stream allows, consuming the *same* stream and producing the *same*
   values as the per-record loops it replaced, which are kept as
@@ -39,10 +47,12 @@ value-identical by construction:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
 import string
 import typing as t
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -59,6 +69,12 @@ _TEXT_BLOCK_CHARS = 1 << 15
 #: Memoized datasets (records) keyed by (generator name, args, kwargs).
 _CACHE: dict[tuple, list] = {}
 
+#: The memo of the innermost :func:`transient_memo` block, per thread
+#: and task (``None`` outside one: misses go to :data:`_CACHE`).
+_TRANSIENT: ContextVar[dict[tuple, list] | None] = ContextVar(
+    "datagen_transient", default=None
+)
+
 
 def clear_cache() -> None:
     """Drop all memoized datasets (tests; bounding long-lived processes).
@@ -67,6 +83,25 @@ def clear_cache() -> None:
     generator); on-disk artifacts survive, which is their entire point.
     """
     _CACHE.clear()
+
+
+@contextlib.contextmanager
+def transient_memo(memo: dict[tuple, list] | None = None) -> t.Iterator[None]:
+    """Within this block a memo miss is kept in ``memo``, not in the
+    process memo, so its dataset lives only while the caller holds
+    ``memo``.  Without ``memo`` the block uses the enclosing block's, or
+    a fresh one dropped on exit.
+
+    Lookups hit the process memo first.  The scope is a context
+    variable, so a run on another thread keeps memoizing.
+    """
+    if memo is None:
+        memo = _TRANSIENT.get()
+    token = _TRANSIENT.set({} if memo is None else memo)
+    try:
+        yield
+    finally:
+        _TRANSIENT.reset(token)
 
 
 def _memoized(
@@ -82,6 +117,7 @@ def _memoized(
     loads the dataset's artifact when a campaign configured a cache
     (generation then happens once per machine instead of once per
     process) and otherwise runs ``func`` and decodes its columns.
+    Inside :func:`transient_memo` a miss is kept in the block's memo.
     """
     name = func.__name__
     signature = inspect.signature(func)
@@ -89,13 +125,17 @@ def _memoized(
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
         key = (name, args, tuple(sorted(kwargs.items())))
+        memo = _TRANSIENT.get()
         hit = _CACHE.get(key)
+        if hit is None and memo is not None:
+            hit = memo.get(key)
         if hit is None:
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
-            hit = _CACHE[key] = datacache.fetch(
+            hit = datacache.fetch(
                 name, dict(bound.arguments), lambda: func(*args, **kwargs)
             )
+            (_CACHE if memo is None else memo)[key] = hit
         else:
             datacache.note_memo_hit()
         return list(hit)

@@ -267,7 +267,7 @@ def test_invalid_worker_count_rejected():
 # ---------------------------------------------------------------- lifecycle
 def assert_no_service_jobs(runner):
     """A kept pooled runner's service holds no job once ``run()`` has
-    returned (``ExperimentService.jobs`` keeps every job it is given)."""
+    returned (``ExperimentService.jobs`` holds live jobs only)."""
     held = runner._resources.get("service")
     assert runner.workers <= 1 or held is not None
     if held is not None:

@@ -161,12 +161,13 @@ def rescanned_counts(service: ExperimentService) -> tuple[dict[str, int], int]:
     """Per-client in-flight and queue-depth counts by a scan of every
     non-terminal job (what the running counts stand for)."""
     inflight: dict[str, int] = {}
-    for job in service._active:
+    active = list(service.jobs.values())
+    for job in active:
         inflight[job.client] = inflight.get(job.client, 0) + 1
-    queued = sum(job.state == QUEUED for job in service._active)
-    coalesced = sum(job.state == COALESCED for job in service._active)
+    queued = sum(job.state == QUEUED for job in active)
+    coalesced = sum(job.state == COALESCED for job in active)
     # Between steps every running job is still active.
-    assert queued == len(service._active) - len(service._running) - coalesced
+    assert queued == len(active) - len(service._running) - coalesced
     return inflight, queued
 
 

@@ -7,6 +7,7 @@ dataset from its seed."""
 from __future__ import annotations
 
 import hashlib
+import json
 import multiprocessing
 import tempfile
 from pathlib import Path
@@ -304,6 +305,94 @@ def test_a_stored_meta_other_than_the_params_give_is_a_miss(tmp_path):
     assert raw.count(b'"record_len":4') == 1
     path.write_bytes(raw.replace(b'"record_len":4', b'"record_len":8'))
     assert cache.load(name, params) is None
+
+
+def _retable(path: Path, edit) -> None:
+    """Rewrite the column table of the artifact at ``path`` with
+    ``edit``, keeping its payload and seal."""
+    raw = path.read_bytes()
+    size = int.from_bytes(raw[4:12], "little")
+    header = json.loads(raw[12 : 12 + size])
+    edit(header["columns"])
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    pad = ((12 + len(text) + 63) & ~63) - 12 - len(text)
+    payload = raw[(12 + size + 63) & ~63 :]
+    prefix = raw[:4] + len(text).to_bytes(8, "little")
+    path.write_bytes(prefix + text + bytes(pad) + payload)
+
+
+RATINGS = ("rating_triples", dict(n_users=3, n_products=2, n_ratings=4, seed=7))
+
+
+def test_a_retyped_column_is_a_miss_and_is_regenerated(tmp_path):
+    """The seal does not cover the column table: a table that retypes
+    float64 ratings as int64 would decode ratings of about 4.6e18.  It
+    is a miss, and ``fetch`` regenerates and overwrites the artifact."""
+    name, params = RATINGS
+    cache = DatasetCache(tmp_path)
+    path = cache.store(name, params, columns(name, params))
+    raw = path.read_bytes()
+    assert raw.count(b'"dtype":"<f8"') == 1
+    path.write_bytes(raw.replace(b'"dtype":"<f8"', b'"dtype":"<i8"'))
+    assert isinstance(artifacts.read(path), artifacts.Sealed)
+    assert cache.load(name, params) is None
+    datacache.configure(tmp_path)
+    datacache.reset_stats()
+    fetched = datacache.fetch(name, params, lambda: columns(name, params))
+    assert fetched == records(name, params)
+    assert (datacache.stats()["misses"], datacache.stats()["stores"]) == (1, 1)
+    assert path.read_bytes() == raw
+    assert cache.load(name, params) == fetched
+
+
+def test_a_column_table_with_other_row_counts_is_a_miss(tmp_path):
+    """A table that cuts every column to 3 of the 4 ratings, and a sealed
+    artifact written with 3 ratings where the parameters give 4, are
+    both misses: only a table the codec declares for the parameters
+    decodes."""
+    name, params = RATINGS
+    cache = DatasetCache(tmp_path)
+    path = cache.store(name, params, columns(name, params))
+
+    def cut(table):
+        for entry in table:
+            entry["shape"] = [3]
+
+    _retable(path, cut)
+    assert cache.load(name, params) is None
+    short = {key: column[:3] for key, column in columns(name, params).items()}
+    cache.store(name, params, short)
+    assert isinstance(artifacts.read(path), artifacts.Sealed)
+    assert cache.load(name, params) is None
+
+
+def test_a_column_pointed_at_another_columns_bytes_is_a_miss(tmp_path):
+    """Users and products are both four int64s: a table that swaps their
+    offsets would hand back each as the other."""
+    name, params = RATINGS
+    cache = DatasetCache(tmp_path)
+    path = cache.store(name, params, columns(name, params))
+
+    def swap(table):
+        by_name = {entry["name"]: entry for entry in table}
+        users, products = by_name["users"], by_name["products"]
+        users["offset"], products["offset"] = products["offset"], users["offset"]
+
+    _retable(path, swap)
+    assert artifacts.read(path) == artifacts.Miss("corrupt")
+    assert cache.load(name, params) is None
+
+
+@pytest.mark.parametrize("name,params", GENERATOR_PARAMS + FIG2_TEXT_PARAMS)
+def test_every_generator_matches_its_codec_table(name, params):
+    """What each generator returns is the table its codec declares; the
+    same columns retyped, or with one more, are not."""
+    codec = datacache._CODECS[name]
+    generated = columns(name, params)
+    assert codec.fits(generated, params)
+    retyped = {key: column.astype(np.float32) for key, column in generated.items()}
+    assert not codec.fits(retyped, params)
+    assert not codec.fits({**generated, "extra": np.arange(2)}, params)
 
 
 def test_version_skew_is_a_miss(sealed_artifact, monkeypatch):
