@@ -37,7 +37,7 @@ POINTS = [
 ] + [api.config("pagerank", size="tiny", tier=1)]
 
 
-def boom(config, trace_root, obs_dir):
+def boom(config, trace_root, obs_dir, dataset_root):
     raise RuntimeError("injected failure for the flight recorder")
 
 

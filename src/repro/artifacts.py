@@ -2,23 +2,23 @@
 
 A dataset (:mod:`repro.workloads.datacache`) and a trace
 (:mod:`repro.trace.store`) are each stored as one container of named
-numpy columns: ``b"RDSC"``, the header length (8 bytes, little-endian),
-the header, zero padding, then the payload.  The header is canonical
-JSON: the caller's fields, a ``columns`` table (name, dtype, shape and
-offset of each column, in name order) and ``payload_sha256``.  The
-payload and each column in it start on a 64-byte boundary.
+numpy columns: ``b"RDS2"``, a 32-byte SHA-256 seal over every byte after
+it, the header length (8 bytes, little-endian), the header, zero
+padding, then the columns, each on a 64-byte boundary.  The header is
+canonical JSON: the caller's fields, a ``columns`` table (name, dtype,
+shape and offset of each column) and ``key``, the artifact's own name
+(its file name up to the first dot).
 
 :func:`write` renames a finished temporary file over the target, so a
 reader sees the old artifact or the new one, never a torn one; writers
 of one key race harmlessly, as they write equal bytes.
-:func:`read` returns the header and zero-copy column views, or a
-:class:`Miss`: ``missing``, ``corrupt`` or ``checksum``.  Nothing read
-is executed.  The seal covers the payload, not the header, so callers
-check every header field they rely on.  :func:`read` itself refuses a
-column table other than :func:`write` lays out (name order, each column
-on the boundary after the one before, filling the payload), so no
-column is read from another's bytes; callers check each column's dtype
-and shape.  :func:`digest` tells, without verifying again, that an
+:func:`read` verifies the seal before it parses a byte, so a header it
+parses, column table included, is one :func:`write` sealed, and it
+refuses one sealed under another key.  It returns the header and
+zero-copy column views, or a :class:`Miss`: ``missing``, ``corrupt``
+(unreadable, too short, another container, the older ``b"RDSC"`` one
+included, or another key's artifact) or ``checksum``.  Nothing read is
+executed.  :func:`digest` tells, without verifying again, that an
 artifact is unchanged since it was read.
 """
 
@@ -35,8 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-_MAGIC = b"RDSC"
-_PREFIX = len(_MAGIC) + 8  # the magic and the header length
+_MAGIC = b"RDS2"
+_SEALED = len(_MAGIC) + 32  # the seal covers every byte from here on
+_PREFIX = _SEALED + 8  # the magic, the seal and the header length
 _ALIGN = 64
 
 
@@ -51,6 +52,11 @@ def canonical_key(obj: t.Any) -> str:
 
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
+
+
+def _key(path: Path) -> str:
+    """The key an artifact at ``path`` is stored under."""
+    return path.name.split(".", 1)[0]
 
 
 class Sealed(t.NamedTuple):
@@ -76,15 +82,17 @@ def write(path: Path, header: dict[str, t.Any], columns: dict[str, np.ndarray]) 
         column = {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)}
         table.append({**column, "offset": len(payload)})
         payload += arr.tobytes()
-    digest = hashlib.sha256(payload).hexdigest()
-    sealed = _canonical_json({**header, "columns": table, "payload_sha256": digest})
-    pad = _aligned(_PREFIX + len(sealed)) - _PREFIX - len(sealed)
+    text = _canonical_json({**header, "columns": table, "key": _key(path)})
+    pad = _aligned(_PREFIX + len(text)) - _PREFIX - len(text)
+    body = len(text).to_bytes(8, "little") + text + bytes(pad)
+    seal = hashlib.sha256(body)
+    seal.update(payload)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=".tmp-", suffix="".join(path.suffixes)
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(_MAGIC + len(sealed).to_bytes(8, "little") + sealed + bytes(pad))
+            handle.write(_MAGIC + seal.digest() + body)
             handle.write(payload)
         os.replace(tmp_name, path)
     except BaseException:
@@ -118,37 +126,25 @@ def read(path: Path) -> Sealed | Miss:
     data = _map(path)
     if isinstance(data, Miss):
         return data
-    header_len = int.from_bytes(data[len(_MAGIC) : _PREFIX], "little")
-    payload = memoryview(data)[_aligned(_PREFIX + header_len) :]
-    columns = {}
-    try:
-        if data[: len(_MAGIC)] != _MAGIC:
-            raise ValueError("bad magic")
-        header = json.loads(data[_PREFIX : _PREFIX + header_len])
-        table = header["columns"]
-        names = [entry["name"] for entry in table]
-        if names != sorted(set(names)):
-            raise ValueError("columns out of name order")
-        end = 0
-        for entry in table:
-            shape = tuple(entry["shape"])
-            if min(shape, default=0) < 0:
-                raise ValueError(f"shape {shape}")
-            if entry["offset"] != _aligned(end):
-                raise ValueError(f"column {entry['name']!r} out of place")
-            column = np.frombuffer(
-                payload, np.dtype(entry["dtype"]), math.prod(shape), entry["offset"]
-            ).reshape(shape)
-            columns[entry["name"]] = column
-            end = entry["offset"] + column.nbytes
-        if end != len(payload):
-            raise ValueError("columns do not fill the payload")
-        expected = header["payload_sha256"]
-    except (LookupError, TypeError, ValueError):
-        # A bad magic, a torn or unparsable header, or a column table
-        # other than :func:`write` lays out for the payload (a file cut
-        # short, a column resized or pointed at another's bytes).
+    if len(data) < _PREFIX or data[: len(_MAGIC)] != _MAGIC:
         return Miss("corrupt")
-    if hashlib.sha256(payload).hexdigest() != expected:
+    view = memoryview(data)
+    if hashlib.sha256(view[_SEALED:]).digest() != data[len(_MAGIC) : _SEALED]:
         return Miss("checksum")
+    header_len = int.from_bytes(data[_SEALED:_PREFIX], "little")
+    payload = view[_aligned(_PREFIX + header_len) :]
+    try:
+        header = json.loads(data[_PREFIX : _PREFIX + header_len])
+        if header["key"] != _key(path):
+            return Miss("corrupt")
+        columns = {
+            entry["name"]: np.frombuffer(
+                payload, np.dtype(entry["dtype"]), math.prod(entry["shape"]), entry["offset"]
+            ).reshape(entry["shape"])
+            for entry in header["columns"]
+        }
+    except (LookupError, TypeError, ValueError, OverflowError, RecursionError):
+        # Only a header forged and sealed again gets here: one that is
+        # not JSON or has no table, or a column no payload could hold.
+        return Miss("corrupt")
     return Sealed(header, columns)

@@ -129,10 +129,10 @@ class ExperimentService:
         (``0`` disables the heartbeat task).
     execute:
         Worker entry point override for tests: a callable
-        ``(config, trace_root, obs_dir) -> (result, status)``.  The
-        default is the campaign runner's ``_execute_point`` — the
-        bit-identity guarantee.  Overrides require a serial/thread pool
-        unless picklable.
+        ``(config, trace_root, obs_dir, dataset_root) -> (result,
+        status)``, the arguments of the default, the campaign runner's
+        ``_execute_point`` — the bit-identity guarantee.  Overrides
+        require a serial/thread pool unless picklable.
     event_history:
         Per-job event-history cap (and subscriber queue bound): a slow
         ``events()`` consumer loses ``progress`` heartbeats past this
@@ -634,13 +634,7 @@ class ExperimentService:
         self.metrics.observe("service.queue_wait_s", job.queue_wait or 0.0)
         job._emit("started", client=job.client,
                   queue_wait_s=round(job.queue_wait or 0.0, 6))
-        trace_root, obs_dir, dataset_root = self._resources.roots
-        args: tuple[t.Any, ...] = (job.config, trace_root, obs_dir)
-        if self._execute is _execute_point:
-            # The stock entry point also takes the dataset-artifact
-            # root; ``execute=`` overrides keep the documented
-            # 3-argument contract.
-            args += (dataset_root,)
+        args = (job.config, *self._resources.roots)
         executor = self._executor
         try:
             future = executor.submit(self._execute, *args)

@@ -15,7 +15,11 @@ An artifact is a sealed container of columns (:mod:`repro.artifacts`),
 as a dataset's is.  Its header holds the trace's scalar fields and each
 task set's provenance and task count; its columns hold each residue
 field concatenated over all task sets, and the ``verified`` flag and
-``records_processed`` a replay reports, which the seal covers.  Older
+``records_processed`` a replay reports.  The seal covers the header,
+its column table and the artifact's key, so the columns of an artifact
+that verifies are the ones :meth:`TraceStore.save` wrote for this key,
+and decoding only cuts them at the task counts.  An artifact in an
+older container is a miss, rewritten by the next capture; older
 ``*.trace.pkl.gz`` files are never opened.
 
 Loads go through a per-process LRU of decoded traces, one entry per
@@ -141,7 +145,8 @@ def stats() -> dict[str, int]:
     """Cumulative load outcomes: ``settled_hits`` (served on the stat
     signature alone), ``verified_hits`` (bytes read and digested),
     ``decodes``, and the misses ``missing``, ``corrupt`` (unreadable,
-    undecodable or not a trace), ``version_skew`` and ``checksum``;
+    another container or key, or not a trace), ``version_skew`` and
+    ``checksum``;
     and ``save_failed``, saves that raised an ``OSError``."""
     return dict(_STATS)
 
@@ -352,12 +357,6 @@ def _decode(sealed: artifacts.Sealed) -> WorkloadTrace:
 def _split(sealed: artifacts.Sealed, name: str, counts: list[int]) -> list[np.ndarray]:
     """Column ``name`` cut into copies of ``counts`` elements each."""
     column = sealed.columns[name]
-    # Float residues and I/O volumes; int counts, offsets and the outcome.
-    dtype = np.float64 if name in FLOAT_FIELDS or name.endswith(".values") else np.int64
-    if column.dtype != dtype or column.shape != (sum(counts),):
-        # The seal covers the payload, not the column table: a table that
-        # retyped or resized a column would reinterpret sealed bytes.
-        raise ValueError(f"column {name!r} is {column.dtype}{column.shape}")
     ends = itertools.accumulate(counts)
     return [column[end - n : end].copy() for n, end in zip(counts, ends)]
 

@@ -20,24 +20,28 @@ pass pays it again.  This module gives datasets the same discipline
   ``decode`` is the only code that builds records: it runs on freshly
   generated columns and on columns mapped from disk alike, so a cache
   hit returns what generation returns by construction.  Integer and
-  float64 columns round-trip exactly; the generator parameters a
-  decoder needs (the codec's ``meta`` keys) travel in the header.
-  Each codec also declares its column table: every column's name,
-  dtype and rank, and the lengths the generator's parameters fix.
+  float64 columns round-trip exactly; a decoder reads the generator
+  parameters it needs (the codec's ``meta``) from those the key is made
+  of.
 - **Sealed artifacts** (:mod:`repro.artifacts`, as traces are): written
-  atomically, mapped, verified and decoded from zero-copy views.  A torn
-  or corrupted file, a header from another version or generator or
-  with another meta than the parameters give, or a column table other
-  than the codec declares for them (the seal covers the payload, not
-  the table) is a miss, never wrong data.  Nothing decoded is kept
-  here.  Within one process, datagen's memo answers a direct run's
-  repeats before they reach this module.  A trace capture keeps its
-  dataset only for the later captures of a serial campaign that share
-  it, so a later direct run of its class (a fault-injected point, a
-  fallback after a replay divergence) reads the artifact it wrote.
+  atomically, mapped, verified and decoded from zero-copy views.  The
+  seal covers the header, its column table and the artifact's own key,
+  so an artifact that verifies holds what :meth:`DatasetCache.store`
+  sealed under that key: the columns the generator returned for those
+  parameters.  A torn or corrupted file, one in an older container, or
+  one copied from another key is a miss, never wrong data.  Nothing
+  decoded is kept here.  Within one process, datagen's memo answers a
+  direct run's repeats before they reach this module.  A trace capture
+  keeps its dataset only for the later captures of a serial campaign
+  that share it, so a later direct run of its class (a fault-injected
+  point, a fallback after a replay divergence) reads the artifact it
+  wrote.
 
-Hit/miss/store counters feed ``repro.perf``'s ``datagen.cache`` target
-and the benchmark harness's second-pass hit assertion.
+The hit, miss and store counters (:func:`stats`) feed the benchmark
+harness's ``workloads.datacache_hits`` and ``_misses`` and the per-class
+counts of ``benchmarks/test_engine_wallclock.py``; ``repro.perf``'s
+``datagen.cache`` target times :meth:`DatasetCache.load` and
+:meth:`DatasetCache.store`.
 """
 
 from __future__ import annotations
@@ -77,56 +81,28 @@ _STATS = {"hits": 0, "misses": 0, "stores": 0, "store_failed": 0, "memo_hits": 0
 #: Builds a dataset's records from its columns and meta.
 _Decode = t.Callable[[Columns, dict], list]
 
-#: A dataset's column table as its generator's parameters give it:
-#: name -> (dtype, shape), ``None`` for a length they leave free.
-_Table = dict[str, tuple[np.dtype, tuple[int | None, ...]]]
-
-_U1, _I8, _F8 = np.dtype(np.uint8), np.dtype(np.int64), np.dtype(np.float64)
-
 
 class _Codec(t.NamedTuple):
     decode: _Decode
-    #: Generator parameters ``decode`` reads, stored as the meta.
+    #: The generator parameters ``decode`` reads (its meta).
     meta_keys: tuple[str, ...]
-    #: The column table of a dataset, from its generator's parameters.
-    table: t.Callable[[dict], _Table]
 
     def meta(self, params: dict) -> dict:
         return {key: params[key] for key in self.meta_keys}
-
-    def fits(self, columns: Columns, params: dict) -> bool:
-        """Whether ``columns`` are the names, dtypes and shapes the
-        generator's ``params`` give."""
-        table = self.table(params)
-        return columns.keys() == table.keys() and all(
-            columns[name].dtype == dtype
-            and len(columns[name].shape) == len(shape)
-            and all(
-                want is None or got == want
-                for got, want in zip(columns[name].shape, shape)
-            )
-            for name, (dtype, shape) in table.items()
-        )
 
 
 _CODECS: dict[str, _Codec] = {}
 
 
-def _codec(
-    name: str, *meta_keys: str, table: t.Callable[[dict], _Table]
-) -> t.Callable[[_Decode], _Decode]:
+def _codec(name: str, *meta_keys: str) -> t.Callable[[_Decode], _Decode]:
     def register(decode: _Decode) -> _Decode:
-        _CODECS[name] = _Codec(decode, meta_keys, table)
+        _CODECS[name] = _Codec(decode, meta_keys)
         return decode
 
     return register
 
 
-@_codec(
-    "random_text_records",
-    "record_len",
-    table=lambda p: {"blob": (_U1, (p["n"] * p["record_len"],))},
-)
+@_codec("random_text_records", "record_len")
 def _text_records(columns: Columns, meta: dict) -> list:
     record_len = meta["record_len"]
     text = columns["blob"].tobytes().decode("ascii")
@@ -136,20 +112,13 @@ def _text_records(columns: Columns, meta: dict) -> list:
     ]
 
 
-@_codec("zipf_words", "vocabulary", table=lambda p: {"ranks": (_I8, (p["n"],))})
+@_codec("zipf_words", "vocabulary")
 def _zipf_words(columns: Columns, meta: dict) -> list:
     names = [f"word{rank}" for rank in range(1, meta["vocabulary"] + 1)]
     return [names[rank - 1] for rank in columns["ranks"].tolist()]
 
 
-@_codec(
-    "rating_triples",
-    table=lambda p: {
-        "users": (_I8, (p["n_ratings"],)),
-        "products": (_I8, (p["n_ratings"],)),
-        "ratings": (_F8, (p["n_ratings"],)),
-    },
-)
+@_codec("rating_triples")
 def _rating_triples(columns: Columns, meta: dict) -> list:
     return list(
         zip(
@@ -160,14 +129,7 @@ def _rating_triples(columns: Columns, meta: dict) -> list:
     )
 
 
-@_codec(
-    "labeled_documents",
-    "vocabulary",
-    table=lambda p: {
-        "labels": (_I8, (p["n_docs"],)),
-        "word_ids": (_I8, (p["n_docs"], p["words_per_doc"])),
-    },
-)
+@_codec("labeled_documents", "vocabulary")
 def _labeled_documents(columns: Columns, meta: dict) -> list:
     # Gather the interned name strings in C: fancy-indexing an object
     # array emits the same str objects per id as a per-element lookup,
@@ -179,13 +141,7 @@ def _labeled_documents(columns: Columns, meta: dict) -> list:
     return list(zip(labels, names[columns["word_ids"]].tolist()))
 
 
-@_codec(
-    "labeled_vectors",
-    table=lambda p: {
-        "labels": (_I8, (p["n_examples"],)),
-        "points": (_F8, (p["n_examples"], p["n_features"])),
-    },
-)
+@_codec("labeled_vectors")
 def _labeled_vectors(columns: Columns, meta: dict) -> list:
     # Copy out of the mapping: callers receive writable row views of
     # one contiguous matrix.
@@ -193,22 +149,12 @@ def _labeled_vectors(columns: Columns, meta: dict) -> list:
     return list(zip(columns["labels"].tolist(), points))
 
 
-@_codec(
-    "bag_of_words_docs",
-    table=lambda p: {"word_ids": (_I8, (p["n_docs"], p["words_per_doc"]))},
-)
+@_codec("bag_of_words_docs")
 def _bag_of_words(columns: Columns, meta: dict) -> list:
     return columns["word_ids"].tolist()
 
 
-@_codec(
-    "web_graph",
-    table=lambda p: {
-        "offsets": (_I8, (p["n_pages"] + 1,)),
-        # The outlink count is drawn, not given; the container pins it.
-        "targets": (_I8, (None,)),
-    },
-)
+@_codec("web_graph")
 def _web_graph(columns: Columns, meta: dict) -> list:
     # CSR: page ids are dense 0..n-1, so only offsets + targets exist.
     offsets = columns["offsets"].tolist()
@@ -252,45 +198,30 @@ class DatasetCache:
             p.name[: -len(_SUFFIX)] for p in self.root.glob(f"*{_SUFFIX}")
         )
 
-    def store(self, name: str, params: dict, columns: Columns) -> Path | None:
-        """Atomically persist one dataset's columns; None if no codec."""
-        header = _header(name, params)
-        if header is None:
-            return None
+    def store(self, name: str, params: dict, columns: Columns) -> Path:
+        """Atomically persist one dataset's columns."""
+        header = {
+            "version": DATACACHE_VERSION,
+            "generator": name,
+            "meta": _CODECS[name].meta(params),
+        }
         target = artifacts.write(self.path_for(name, params), header, columns)
         _STATS["stores"] += 1
         return target
 
     def load(self, name: str, params: dict) -> list | None:
-        """Decode the stored dataset, or ``None`` on any kind of miss: no
-        codec, an artifact :func:`repro.artifacts.read` refuses, a
-        header other than :meth:`store` writes for ``(name, params)``,
-        or a column table other than the codec declares for ``params``.
-        The caller regenerates (and overwrites the bad artifact)."""
-        header = _header(name, params)
-        if header is None:
+        """Decode the stored dataset, or ``None`` if
+        :func:`repro.artifacts.read` refuses its artifact.  One it
+        verifies holds what :meth:`store` sealed under this key.  The
+        caller regenerates (and overwrites the bad artifact)."""
+        sealed = artifacts.read(self.path_for(name, params))
+        if isinstance(sealed, artifacts.Miss):
             return None
         codec = _CODECS[name]
-        sealed = artifacts.read(self.path_for(name, params))
-        if (
-            isinstance(sealed, artifacts.Miss)
-            or any(sealed.header.get(key) != value for key, value in header.items())
-            # A retyped or reshaped column would reinterpret sealed bytes.
-            or not codec.fits(sealed.columns, params)
-        ):
-            return None
         try:
-            return codec.decode(sealed.columns, header["meta"])
+            return codec.decode(sealed.columns, codec.meta(params))
         except Exception:  # noqa: BLE001 - undecodable artifact == miss
             return None
-
-
-def _header(name: str, params: dict) -> dict | None:
-    """The header fields stored with a dataset; None if it has no codec."""
-    codec = _CODECS.get(name)
-    if codec is None:
-        return None
-    return {"version": DATACACHE_VERSION, "generator": name, "meta": codec.meta(params)}
 
 
 # ------------------------------------------------------------- active cache --

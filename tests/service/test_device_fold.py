@@ -36,7 +36,7 @@ def dimm_counts(config, dimm_id):
     )
 
 
-def stub_execute(config, trace_root, obs_dir):
+def stub_execute(config, trace_root, obs_dir, dataset_root):
     telemetry = SimpleNamespace(
         dimm_performance=[dimm_counts(config, d) for d in DIMMS]
     )

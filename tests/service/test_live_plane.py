@@ -149,7 +149,7 @@ def test_http_metrics_listener_end_to_end():
 
 
 def test_failed_job_dumps_reconcilable_flight_artifact(tmp_path):
-    def explode(config, trace_root, obs_dir):
+    def explode(config, trace_root, obs_dir, dataset_root):
         raise RuntimeError("kaboom")
 
     async def go():
@@ -187,7 +187,7 @@ def test_failed_job_dumps_reconcilable_flight_artifact(tmp_path):
 
 
 def test_failed_job_dump_includes_its_span_when_observing(tmp_path):
-    def explode(config, trace_root, obs_dir):
+    def explode(config, trace_root, obs_dir, dataset_root):
         raise RuntimeError("kaboom")
 
     async def go():
@@ -228,7 +228,7 @@ def test_cancelled_job_dumps_flight_artifact(tmp_path):
 
     gate = threading.Event()
 
-    def blocked(config, trace_root, obs_dir):
+    def blocked(config, trace_root, obs_dir, dataset_root):
         from repro.core.experiment import run_experiment
 
         gate.wait(timeout=30)
@@ -263,7 +263,7 @@ def test_event_history_bounds_drop_only_progress_and_count_drops():
 
     gate = threading.Event()
 
-    def blocked(config, trace_root, obs_dir):
+    def blocked(config, trace_root, obs_dir, dataset_root):
         from repro.core.experiment import run_experiment
 
         gate.wait(timeout=30)
@@ -319,7 +319,7 @@ def test_sigint_drains_gracefully_and_flushes_artifacts(tmp_path):
 
     gate = threading.Event()
 
-    def blocked(config, trace_root, obs_dir):
+    def blocked(config, trace_root, obs_dir, dataset_root):
         from repro.core.experiment import run_experiment
 
         gate.wait(timeout=30)

@@ -32,7 +32,7 @@ def value_of(config) -> str:
     return f"value:{config.describe()}"
 
 
-def stub_execute(config, trace_root, obs_dir):
+def stub_execute(config, trace_root, obs_dir, dataset_root):
     return value_of(config), "executed"
 
 
@@ -125,7 +125,7 @@ class SteppedExecute:
         self.calls: dict[str, tuple[threading.Event, list[str]]] = {}
         self.opened = False
 
-    def __call__(self, config, trace_root, obs_dir):
+    def __call__(self, config, trace_root, obs_dir, dataset_root):
         gate, outcome = threading.Event(), []
         with self.lock:
             self.calls[config.describe()] = (gate, outcome)

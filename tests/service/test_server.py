@@ -92,7 +92,7 @@ def test_rejections_travel_as_typed_errors():
 
     gate = threading.Event()
 
-    def blocked(config, trace_root, obs_dir):
+    def blocked(config, trace_root, obs_dir, dataset_root):
         from repro.core.experiment import run_experiment
 
         gate.wait(timeout=30)
@@ -119,7 +119,7 @@ def test_rejections_travel_as_typed_errors():
 
 
 def test_remote_failure_raises_remote_job_failed():
-    def explode(config, trace_root, obs_dir):
+    def explode(config, trace_root, obs_dir, dataset_root):
         raise RuntimeError("kaboom")
 
     async def go():

@@ -36,7 +36,7 @@ class GatedExecute:
         self.calls: list[str] = []
         self.lock = threading.Lock()
 
-    def __call__(self, config, trace_root, obs_dir):
+    def __call__(self, config, trace_root, obs_dir, dataset_root):
         with self.lock:
             self.calls.append(config.describe())
         assert self.gate.wait(timeout=30), "gate never opened"
@@ -429,7 +429,7 @@ def test_event_stream_replays_history_for_late_subscribers():
 
 
 def test_failed_job_raises_and_emits_failed_event():
-    def explode(config, trace_root, obs_dir):
+    def explode(config, trace_root, obs_dir, dataset_root):
         raise ValueError("boom")
 
     async def go():

@@ -26,11 +26,11 @@ from repro.service.service import INFLIGHT_PER_WORKER
 DOOMED = api.config("sort", size="tiny", tier=3)
 
 
-def kill_worker_for_doomed(config, trace_root, obs_dir):
+def kill_worker_for_doomed(config, trace_root, obs_dir, dataset_root):
     """Pool entry point that SIGKILLs its own worker for ``DOOMED``."""
     if config == DOOMED:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _execute_point(config, trace_root, obs_dir)
+    return _execute_point(config, trace_root, obs_dir, dataset_root)
 
 
 def test_service_survives_a_killed_worker(tmp_path):

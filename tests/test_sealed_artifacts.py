@@ -6,9 +6,12 @@ direct run gives, rewrites the artifact, and the next load hits."""
 from __future__ import annotations
 
 import gzip
+import hashlib
+import json
 import pickle
 import typing as t
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,59 +127,138 @@ class _Crafted:
         return (_run_on_load, ())
 
 
+#: The magic, the seal and the header length come before the header.
+PREFIX = 44
+
+
+def _header_len(raw: bytes) -> int:
+    return int.from_bytes(raw[36:PREFIX], "little")
+
+
 def _payload_start(raw: bytes) -> int:
-    return (12 + int.from_bytes(raw[4:12], "little") + 63) & ~63
+    return (PREFIX + _header_len(raw) + 63) & ~63
 
 
-def _flip(offset: t.Callable[[bytes], int]) -> t.Callable[[bytes], bytes]:
-    def fault(raw: bytes) -> bytes:
-        flipped = bytearray(raw)
-        flipped[offset(raw)] ^= 0xFF
-        return bytes(flipped)
+def _canonical(header: dict) -> bytes:
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _sealed(text: bytes, payload: bytes) -> bytes:
+    """An artifact of header ``text`` and ``payload``, sealed as
+    :func:`repro.artifacts.write` seals one."""
+    body = len(text).to_bytes(8, "little") + text + bytes(-(PREFIX + len(text)) % 64)
+    return b"RDS2" + hashlib.sha256(body + payload).digest() + body + payload
+
+
+def _fields(sealed: artifacts.Sealed) -> dict[str, t.Any]:
+    """The header fields the caller gave the writer."""
+    return {k: v for k, v in sealed.header.items() if k not in ("columns", "key")}
+
+
+def _rewrite(edit: t.Callable[[bytes], bytes | None]) -> t.Callable[[Path], None]:
+    """A fault that replaces an artifact's bytes with ``edit`` of them,
+    or removes the artifact where ``edit`` gives None."""
+
+    def fault(path: Path) -> None:
+        raw = edit(path.read_bytes())
+        if raw is None:
+            path.unlink()
+        else:
+            path.write_bytes(raw)
 
     return fault
 
 
-#: fault -> (the artifact's bytes after it, or None for no file; the
-#: reader's reason).  Version skew is a verified artifact whose header
-#: names another version: the stores refuse it themselves.
-FAULTS: dict[str, tuple[t.Callable[[bytes], bytes | None], str]] = {
-    "missing": (lambda raw: None, "missing"),
-    "empty file": (lambda raw: b"", "corrupt"),
-    "cut to 8 bytes": (lambda raw: raw[:8], "corrupt"),
-    "cut mid-payload": (lambda raw: raw[: (_payload_start(raw) + len(raw)) // 2], "corrupt"),
-    "bad magic": (_flip(lambda raw: 0), "corrupt"),
-    "flipped payload byte": (_flip(lambda raw: len(raw) - 1), "checksum"),
-    "unparsable header": (_flip(lambda raw: 12), "corrupt"),
-    "crafted pickle": (lambda raw: gzip.compress(pickle.dumps(_Crafted())), "corrupt"),
-    "version skew": (None, "version_skew"),
+def _flip(offset: t.Callable[[bytes], int]) -> t.Callable[[bytes], bytes]:
+    def edit(raw: bytes) -> bytes:
+        flipped = bytearray(raw)
+        flipped[offset(raw)] ^= 0xFF
+        return bytes(flipped)
+
+    return edit
+
+
+def _forged(text: bytes) -> t.Callable[[bytes], bytes]:
+    """Header ``text`` sealed with the artifact's payload: a forgery,
+    as no writer makes it."""
+    return lambda raw: _sealed(text, raw[_payload_start(raw) :])
+
+
+def _reseal(edit: t.Callable[[dict], None]) -> t.Callable[[bytes], bytes]:
+    """The header edited and sealed again with the payload: a forgery."""
+
+    def forge(raw: bytes) -> bytes:
+        header = json.loads(raw[PREFIX : PREFIX + _header_len(raw)])
+        edit(header)
+        return _forged(_canonical(header))(raw)
+
+    return forge
+
+
+def _as_rdsc(path: Path) -> None:
+    """The artifact laid out as the older ``RDSC`` container's writer laid
+    it out: no seal before the header, whose ``payload_sha256`` covers
+    the columns only."""
+    sealed = artifacts.read(path)
+    table, payload = [], bytearray()
+    for name, column in sorted(sealed.columns.items()):
+        payload += bytes(-len(payload) % 64)
+        entry = {"name": name, "dtype": column.dtype.str, "shape": list(column.shape)}
+        table.append({**entry, "offset": len(payload)})
+        payload += column.tobytes()
+    header = {
+        **_fields(sealed),
+        "columns": table,
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    text = _canonical(header)
+    raw = b"RDSC" + len(text).to_bytes(8, "little") + text
+    path.write_bytes(raw + bytes(-len(raw) % 64) + payload)
+
+
+def _from_another_key(path: Path) -> None:
+    """The artifact sealed under another key, then moved to ``path``."""
+    sealed = artifacts.read(path)
+    other = path.with_name("0" * 64 + "".join(path.suffixes))
+    artifacts.write(other, _fields(sealed), dict(sealed.columns))
+    other.replace(path)
+
+
+#: fault -> (how it damages the artifact at a path, the reader's reason).
+#: Version skew (None) is a sealed artifact another version wrote, which
+#: each store meets its own way.
+FAULTS: dict[str, tuple[t.Callable[[Path], None] | None, str | None]] = {
+    "missing": (_rewrite(lambda raw: None), "missing"),
+    "empty file": (_rewrite(lambda raw: b""), "corrupt"),
+    "cut to 8 bytes": (_rewrite(lambda raw: raw[:8]), "corrupt"),
+    "cut mid-payload": (
+        _rewrite(lambda raw: raw[: (_payload_start(raw) + len(raw)) // 2]), "checksum"
+    ),
+    "bad magic": (_rewrite(_flip(lambda raw: 0)), "corrupt"),
+    "flipped payload byte": (_rewrite(_flip(lambda raw: len(raw) - 1)), "checksum"),
+    "flipped header byte": (_rewrite(_flip(lambda raw: PREFIX)), "checksum"),
+    "flipped column-table byte": (
+        _rewrite(_flip(lambda raw: raw.index(b'"columns":[') + 12)), "checksum"
+    ),
+    "unparsable header": (_rewrite(_forged(b"{not json")), "corrupt"),
+    "header nested too deep": (
+        _rewrite(_forged(b"[" * 100_000 + b"]" * 100_000)), "corrupt"
+    ),
+    "resealed oversized shape": (
+        _rewrite(_reseal(lambda header: header["columns"][0].update(shape=[2**70]))),
+        "corrupt",
+    ),
+    "resealed object column": (
+        _rewrite(_reseal(lambda header: header["columns"][0].update(dtype="|O"))),
+        "corrupt",
+    ),
+    "crafted pickle": (
+        _rewrite(lambda raw: gzip.compress(pickle.dumps(_Crafted()))), "corrupt"
+    ),
+    "older RDSC container": (_as_rdsc, "corrupt"),
+    "another key's artifact": (_from_another_key, "corrupt"),
+    "version skew": (None, None),
 }
-
-
-def _inject(path, fault: str, skewed: dict[str, t.Any]) -> None:
-    """Apply ``fault`` to the artifact at ``path``; ``skewed`` holds the
-    header fields a version-skewed artifact of its kind carries."""
-    damage, _ = FAULTS[fault]
-    if damage is None:
-        sealed = artifacts.read(path)
-        fields = dict(sealed.header)
-        del fields["columns"], fields["payload_sha256"]  # the writer's own
-        artifacts.write(path, {**fields, **skewed}, dict(sealed.columns))
-        return
-    raw = damage(path.read_bytes())
-    if raw is None:
-        path.unlink()
-    else:
-        path.write_bytes(raw)
-
-
-def _assert_reader_says(path, fault: str) -> None:
-    got = artifacts.read(path)
-    reason = FAULTS[fault][1]
-    if reason == "version_skew":
-        assert isinstance(got, artifacts.Sealed)
-    else:
-        assert got == artifacts.Miss(reason)
 
 
 @pytest.fixture(scope="module")
@@ -195,13 +277,23 @@ def test_a_faulted_trace_artifact_misses_and_is_recaptured(
     store = TraceStore(tmp_path)
     path = store.save(config, trace)
     RAN.clear()
-    _inject(path, fault, {"engine_version": "0-older-engine"})
-    _assert_reader_says(path, fault)
+    damage, reason = FAULTS[fault]
+    if damage is None:
+        # An older engine's trace, sealed under this key: the reader
+        # verifies it, and the store refuses it.
+        sealed = artifacts.read(path)
+        older = {**_fields(sealed), "engine_version": "0-older-engine"}
+        artifacts.write(path, older, dict(sealed.columns))
+        assert isinstance(artifacts.read(path), artifacts.Sealed)
+        reason = "version_skew"
+    else:
+        damage(path)
+        assert artifacts.read(path) == artifacts.Miss(reason)
 
     monkeypatch.setattr(trace_store, "_LOAD_CACHE", OrderedDict())
     trace_store.reset_stats()
     assert store.load(config) is None
-    assert {k: v for k, v in trace_store.stats().items() if v} == {FAULTS[fault][1]: 1}
+    assert {k: v for k, v in trace_store.stats().items() if v} == {reason: 1}
     result, how = run_with_trace(config, store)
     assert how == "captured" and result_to_dict(result) == direct
     healed = store.load(config)
@@ -210,7 +302,7 @@ def test_a_faulted_trace_artifact_misses_and_is_recaptured(
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))
-def test_a_faulted_dataset_artifact_misses_and_is_regenerated(tmp_path, fault):
+def test_a_faulted_dataset_artifact_misses_and_is_regenerated(tmp_path, monkeypatch, fault):
     name, params, _ = PINNED_DATASET_KEYS[5]
 
     def generate():
@@ -221,8 +313,18 @@ def test_a_faulted_dataset_artifact_misses_and_is_regenerated(tmp_path, fault):
     records = cache.load(name, params)
     assert records is not None
     RAN.clear()
-    _inject(path, fault, {"version": DATACACHE_VERSION + 1})
-    _assert_reader_says(path, fault)
+    damage, reason = FAULTS[fault]
+    if damage is None:
+        # The next version stores this dataset under its own key, so
+        # this one has no artifact.
+        with monkeypatch.context() as patched:
+            patched.setattr(datacache, "DATACACHE_VERSION", DATACACHE_VERSION + 1)
+            assert cache.store(name, params, generate()) != path
+        path.unlink()
+        reason = "missing"
+    else:
+        damage(path)
+    assert artifacts.read(path) == artifacts.Miss(reason)
     assert cache.load(name, params) is None
 
     previous = datacache.active()
@@ -237,3 +339,4 @@ def test_a_faulted_dataset_artifact_misses_and_is_regenerated(tmp_path, fault):
     assert (counts["hits"], counts["misses"], counts["stores"]) == (0, 1, 1)
     assert cache.load(name, params) == records
     assert RAN == []
+

@@ -85,7 +85,7 @@ def test_fig2_artifacts_hold_only_what_replay_reads(fig2):
         assert set(sealed.columns) == columns
         assert set(sealed.header) == {
             "format_version", "engine_version", "behavior", "workload", "size",
-            "measured_from", "checksum", "jobs", "columns", "payload_sha256",
+            "measured_from", "checksum", "jobs", "columns", "key",
         }
     total = sum(store.path_for(config).stat().st_size for config in traces)
     assert total <= 500_000, total

@@ -131,8 +131,9 @@ def test_the_outcome_a_replay_reports_is_sealed(tmp_path, monkeypatch):
     assert sealed.columns["outcome"].tolist() == [1, trace.records_processed]
     del sealed
     raw = bytearray(path.read_bytes())
-    # The payload starts at the first 64-byte boundary after the header.
-    payload_start = (12 + int.from_bytes(raw[4:12], "little") + 63) & ~63
+    # The payload starts at the first 64-byte boundary after the header,
+    # which follows the magic, the seal and the header length (44 bytes).
+    payload_start = (44 + int.from_bytes(raw[36:44], "little") + 63) & ~63
     raw[payload_start + entry["offset"]] ^= 0x01  # verified 1 -> 0
     path.write_bytes(bytes(raw))
     assert artifacts.read(path) == artifacts.Miss("checksum")
