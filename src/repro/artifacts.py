@@ -9,17 +9,21 @@ canonical JSON: the caller's fields, a ``columns`` table (name, dtype,
 shape and offset of each column) and ``key``, the artifact's own name
 (its file name up to the first dot).
 
-:func:`write` renames a finished temporary file over the target, so a
-reader sees the old artifact or the new one, never a torn one; writers
-of one key race harmlessly, as they write equal bytes.
+Each :func:`write` is atomic: it renames a finished temporary file over
+the target, so a reader sees the old artifact or the new one, never a
+torn one.  Writers of one dataset write equal bytes.  Writers of one
+trace key need not: captures of one behaviour class at different tiers
+may store different traces, and every trace that verifies replays each
+point of its class exactly or raises
+:class:`~repro.trace.replay.ReplayDivergence` (the point then runs
+directly), so whichever write lands last is as good as any other.
 :func:`read` verifies the seal before it parses a byte, so a header it
 parses, column table included, is one :func:`write` sealed, and it
 refuses one sealed under another key.  It returns the header and
 zero-copy column views, or a :class:`Miss`: ``missing``, ``corrupt``
 (unreadable, too short, another container, the older ``b"RDSC"`` one
 included, or another key's artifact) or ``checksum``.  Nothing read is
-executed.  :func:`digest` tells, without verifying again, that an
-artifact is unchanged since it was read.
+executed.
 """
 
 from __future__ import annotations
@@ -104,28 +108,15 @@ def write(path: Path, header: dict[str, t.Any], columns: dict[str, np.ndarray]) 
     return path
 
 
-def _map(path: Path) -> mmap.mmap | Miss:
+def read(path: Path) -> Sealed | Miss:
+    """The verified artifact at ``path``, or why there is none."""
     try:
         with open(path, "rb") as handle:
-            return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+            data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     except FileNotFoundError:
         return Miss("missing")
     except (OSError, ValueError):  # unreadable, or empty: nothing to map
         return Miss("corrupt")
-
-
-def digest(path: Path) -> str | Miss:
-    """The SHA-256 of the bytes at ``path``, not verified: taken before a
-    :func:`read`, it tells cheaply later that the artifact is unchanged."""
-    data = _map(path)
-    return data if isinstance(data, Miss) else hashlib.sha256(data).hexdigest()
-
-
-def read(path: Path) -> Sealed | Miss:
-    """The verified artifact at ``path``, or why there is none."""
-    data = _map(path)
-    if isinstance(data, Miss):
-        return data
     if len(data) < _PREFIX or data[: len(_MAGIC)] != _MAGIC:
         return Miss("corrupt")
     view = memoryview(data)

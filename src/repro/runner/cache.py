@@ -23,6 +23,18 @@ from repro.runner.hashing import config_hash
 #: File name of the store inside a cache directory.
 CACHE_FILE = "results.jsonl"
 
+#: Appends that raised an ``OSError`` (a full or read-only disk) since
+#: the last :func:`reset_stats`; each result was still returned.
+_STATS = {"put_failed": 0}
+
+
+def stats() -> dict[str, int]:
+    return dict(_STATS)
+
+
+def reset_stats() -> None:
+    _STATS["put_failed"] = 0
+
 
 class ResultCache:
     """Maps ``config_hash(config)`` → :class:`ExperimentResult`.
@@ -94,7 +106,12 @@ class ResultCache:
         if key in self._rows:
             return
         row = {"key": key, **result_to_dict(result)}
-        self.store.append_row(row)
+        try:
+            self.store.append_row(row)
+        except OSError:
+            # A full or read-only cache directory costs the resumption,
+            # not the result: this process still serves it.
+            _STATS["put_failed"] += 1
         self._rows[key] = row
 
     def clear(self) -> None:

@@ -80,23 +80,6 @@ _TRACE_STATUS = {
     "direct": STATUS_EXECUTED,
 }
 
-#: This process's one :class:`~repro.trace.store.TraceStore` per trace
-#: root (see :func:`_trace_store`).
-_TRACE_STORES: dict[str, t.Any] = {}
-
-
-def _trace_store(root: str | Path) -> t.Any:
-    """This process's :class:`~repro.trace.store.TraceStore` over
-    ``root``, made on first use and kept, so a point does not pay for
-    the store's ``mkdir``."""
-    store = _TRACE_STORES.get(str(root))
-    if store is None:
-        from repro.trace import TraceStore
-
-        store = _TRACE_STORES[str(root)] = TraceStore(root)
-    return store
-
-
 @contextmanager
 def _paused_gc() -> t.Iterator[None]:
     """Suspend the cyclic collector across one point's execution.
@@ -185,10 +168,10 @@ def _execute_point(
                 STATUS_EXECUTED,
             )
         else:
-            from repro.trace import run_with_trace
+            from repro.trace import TraceStore, run_with_trace
 
             result, how = run_with_trace(
-                config, _trace_store(trace_root), observer=observer
+                config, TraceStore(trace_root), observer=observer
             )
             status = _TRACE_STATUS[how]
     if observer is not None:

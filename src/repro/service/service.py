@@ -64,7 +64,6 @@ from repro.runner.campaign import (
     RunResources,
     _coerce_obs_config,
     _execute_point,
-    _trace_store,
 )
 from repro.runner.hashing import config_hash
 from repro.service.jobs import (
@@ -604,7 +603,9 @@ class ExperimentService:
             job._emit("progress", phase="awaiting-capture",
                       capture_job=capturing.id)
             return True
-        if _trace_store(self._resources.trace_root).exists(job.config):
+        from repro.trace import TraceStore
+
+        if TraceStore(self._resources.trace_root).exists(job.config):
             self._traced.add(tkey)
         else:
             self._capturing[tkey] = job

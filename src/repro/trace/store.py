@@ -25,32 +25,25 @@ older container is a miss, rewritten by the next capture; older
 Loads go through a per-process LRU of decoded traces, one entry per
 artifact path, so a serial campaign replaying one behaviour class
 across twelve tier/MBA points decodes its artifact once, not twelve
-times.  An entry keeps the stat signature ``(st_dev, st_ino, st_size,
-st_mtime_ns, st_ctime_ns)`` and the SHA-256 of the bytes it was
-decoded from (:func:`repro.artifacts.digest`), and a load serves it in
-one of two ways:
+times.  A miss reads the file once through :func:`repro.artifacts.read`,
+which verifies its seal, and the decode checks the format and engine
+versions and the trace checksum; a trace that passed is trusted for
+the life of the process, and a hit makes no filesystem call at all.
+So this process does not notice an artifact removed, rewritten or
+damaged after it decoded it: the decoded trace is served until the LRU
+evicts it, and only the next process, or this one after the eviction,
+reads the file again (a damaged artifact is then a miss and its class
+is captured again).  That is safe because the decoded trace stays what
+it was, a verified trace of its class, and a newer artifact under the
+same key is no more valid: captures of one class at different tiers
+may store different traces (the multi-executor geometries of Fig. 4
+do), and every replay checks its trace against the config and falls
+back to direct simulation where it cannot stand in.
 
-- **Re-verified**: the signature is equal and the bytes read now have
-  the same digest.  A same-mtime overwrite (two captures landing within
-  the filesystem's timestamp granularity) can never serve the stale
-  content, because the digest disagrees even when the signature does
-  not.
-- **Settled**: the entry was read and digested more than
-  ``_SETTLE_NS`` (2 s) after the artifact's last mtime and ctime, and
-  the signature is still equal; the load then touches no byte of the
-  file.  The kernel stamps ctime with the current time on every write,
-  ``utime`` and rename, so any change after a settling read moves ctime
-  at least the margin away from the recorded one, whatever the
-  filesystem's timestamp granularity, and the load reads and digests
-  again.  The one assumption is that the wall clock does not step back
-  across the margin.
-
-Every other load digests the file and, on a new digest, reads, verifies
-and decodes it.  The LRU
-is bounded by what its entries hold in memory, not by entry count or
-artifact bytes: each entry is charged its decoded trace, sized once at
-decode, plus the replay plan :mod:`repro.trace.fastreplay` compiles
-onto it and the counter-delta tables that plan's replays fill
+The LRU is bounded by what its entries hold in memory, not by entry
+count or artifact bytes: each entry is charged its decoded trace,
+sized once at decode, plus the replay plan :mod:`repro.trace.fastreplay`
+compiles onto it and the counter-delta tables that plan's replays fill
 (:func:`~repro.trace.fastreplay.plan_bytes`).  Plans and tables grow
 after the decode, so every load, hits included, re-checks the budget;
 each entry's charge is read in O(1), once its plan has been sized on
@@ -64,14 +57,12 @@ Pool workers of a campaign or the service read artifacts the same way:
 each worker process keeps its own LRU, so a worker decodes a behaviour
 class once and every later point of that class it runs is a cache hit.
 Nothing but the config and the directory roots travels with a pooled
-point, and every decode checks the format and engine versions and the
-checksum before the trace is cached.
+point.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 import typing as t
 from collections import OrderedDict
 from pathlib import Path
@@ -90,10 +81,6 @@ if t.TYPE_CHECKING:  # pragma: no cover - typing only
 
 _SUFFIX = ".trace.bin"
 
-#: An artifact's stat signature: (st_dev, st_ino, st_size, st_mtime_ns,
-#: st_ctime_ns).
-_Signature = tuple[int, int, int, int, int]
-
 
 class _Entry(t.NamedTuple):
     """One decoded artifact in the load cache."""
@@ -102,13 +89,6 @@ class _Entry(t.NamedTuple):
     #: What the decoded trace holds, sized at decode (:func:`_charge`
     #: adds what replays compiled onto it since).
     nbytes: int
-    signature: _Signature
-    #: SHA-256 of the artifact's bytes, taken before ``trace`` was
-    #: read and decoded from them.
-    digest: str
-    #: Read and digested more than ``_SETTLE_NS`` after the artifact's
-    #: last mtime and ctime: an equal signature alone serves it.
-    settled: bool
 
 
 #: Per-process load cache: artifact path -> its decoded entry.
@@ -119,19 +99,10 @@ _LOAD_CACHE: "OrderedDict[str, _Entry]" = OrderedDict()
 #: replayed at three tiers, are charged about 3.5 MB together.
 _LOAD_CACHE_BYTES = 16 * 2**20
 
-#: How long after an artifact's last mtime and ctime a read must start
-#: for its entry to settle: far above any filesystem's timestamp
-#: granularity and the kernel's coarse-clock lag.
-_SETTLE_NS = 2_000_000_000
-#: The wall clock the settle rule compares stat times with (the
-#: kernel stamps them from the same realtime clock).
-_clock_ns = time.time_ns
-
 #: Load outcomes since the last :func:`reset_stats`.  Each load counts
-#: once: a hit (settled or re-verified), a decode, or a miss by reason.
+#: once: a hit, a decode, or a miss by reason.
 _STATS = {
-    "settled_hits": 0,
-    "verified_hits": 0,
+    "hits": 0,
     "decodes": 0,
     "missing": 0,
     "corrupt": 0,
@@ -142,12 +113,11 @@ _STATS = {
 
 
 def stats() -> dict[str, int]:
-    """Cumulative load outcomes: ``settled_hits`` (served on the stat
-    signature alone), ``verified_hits`` (bytes read and digested),
+    """Cumulative load outcomes: ``hits`` (served from the load cache),
     ``decodes``, and the misses ``missing``, ``corrupt`` (unreadable,
     another container or key, or not a trace), ``version_skew`` and
-    ``checksum``;
-    and ``save_failed``, saves that raised an ``OSError``."""
+    ``checksum``; and ``save_failed``, saves that raised an
+    ``OSError``."""
     return dict(_STATS)
 
 
@@ -189,7 +159,6 @@ class TraceStore:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, config: "ExperimentConfig") -> Path:
         return self.root / f"{trace_key(config)}{_SUFFIX}"
@@ -199,16 +168,10 @@ class TraceStore:
         config's behaviour, so a scheduler plans a replay only on one."""
         return isinstance(artifacts.read(self.path_for(config)), artifacts.Sealed)
 
-    def keys(self) -> list[str]:
-        return sorted(
-            p.name[: -len(_SUFFIX)] for p in self.root.glob(f"*{_SUFFIX}")
-        )
-
     def save(self, config: "ExperimentConfig", trace: WorkloadTrace) -> Path:
-        """Atomically persist one sealed trace artifact (making the root
-        again if it was removed since the store was made).  A failed
-        write leaves no temporary file; an ``OSError`` is counted as
-        ``save_failed`` and re-raised."""
+        """Atomically persist one sealed trace artifact, making the root
+        if need be.  A failed write leaves no temporary file; an
+        ``OSError`` is counted as ``save_failed`` and re-raised."""
         header, columns = _encode(trace)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -220,42 +183,19 @@ class TraceStore:
     def load(self, config: "ExperimentConfig") -> WorkloadTrace | None:
         """The stored trace for this config's behaviour, or ``None``.
 
-        Missing, unreadable, corrupted, version-skewed or
-        checksum-failing artifacts all resolve to a miss — the caller
-        captures (or simulates) instead of trusting a stale trace.
+        A trace this process decoded and still holds is served from the
+        load cache without touching the file.  Otherwise missing, unreadable,
+        corrupted, version-skewed or checksum-failing artifacts all
+        resolve to a miss — the caller captures (or simulates) instead
+        of trusting a stale trace.
         """
         path = self.path_for(config)
         key = str(path)
-        # The clock is read before the stat: a write after the stat
-        # stamps a ctime no earlier than ``now``.
-        now = _clock_ns()
-        try:
-            stat = path.stat()
-        except OSError:
-            _STATS["missing"] += 1
-            return None
-        signature = (
-            stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns
-        )
         entry = _LOAD_CACHE.get(key)
-        if entry is not None and entry.signature != signature:
-            # The artifact changed since it was decoded.
-            del _LOAD_CACHE[key]
-            entry = None
-        if entry is not None and entry.settled:
+        if entry is not None:
             _LOAD_CACHE.move_to_end(key)
             _fit_budget()
-            _STATS["settled_hits"] += 1
-            return entry.trace
-        settled = now - max(stat.st_mtime_ns, stat.st_ctime_ns) > _SETTLE_NS
-        # Taken before the read, so a write in between leaves the entry a
-        # digest older than its trace: the next load decodes again.
-        digest = artifacts.digest(path)
-        if entry is not None and digest == entry.digest:
-            _LOAD_CACHE[key] = entry._replace(settled=settled)
-            _LOAD_CACHE.move_to_end(key)
-            _fit_budget()
-            _STATS["verified_hits"] += 1
+            _STATS["hits"] += 1
             return entry.trace
         sealed = artifacts.read(path)
         if isinstance(sealed, artifacts.Miss):
@@ -275,9 +215,7 @@ class TraceStore:
         if not trace.intact:
             _STATS["checksum"] += 1
             return None
-        # An entry left here has the same signature but other bytes.
-        _LOAD_CACHE.pop(key, None)
-        _LOAD_CACHE[key] = _Entry(trace, footprint(trace), signature, digest, settled)
+        _LOAD_CACHE[key] = _Entry(trace, footprint(trace))
         _fit_budget()
         _STATS["decodes"] += 1
         return trace

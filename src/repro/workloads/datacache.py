@@ -193,11 +193,6 @@ class DatasetCache:
     def path_for(self, name: str, params: dict) -> Path:
         return self.root / f"{dataset_key(name, params)}{_SUFFIX}"
 
-    def keys(self) -> list[str]:
-        return sorted(
-            p.name[: -len(_SUFFIX)] for p in self.root.glob(f"*{_SUFFIX}")
-        )
-
     def store(self, name: str, params: dict, columns: Columns) -> Path:
         """Atomically persist one dataset's columns."""
         header = {

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import builtins
 import os
-import time
 from collections import OrderedDict
+
+import pytest
 
 from repro import artifacts
 from repro.analysis.resultstore import result_to_dict
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.runner.campaign import run_campaign
 from repro.trace import (
+    ReplayDivergence,
     TraceStore,
     capture_experiment,
     fast_replay_experiment,
@@ -25,11 +28,6 @@ def make_trace(config):
     _, trace = capture_experiment(config)
     assert trace is not None
     return trace
-
-
-def artifact_bytes(root, config, trace) -> bytes:
-    """The bytes ``TraceStore.save`` writes for ``trace``."""
-    return TraceStore(root).save(config, trace).read_bytes()
 
 
 # ------------------------------------------------------------------- keying
@@ -58,9 +56,9 @@ def test_save_load_round_trip_supports_replay(tmp_path):
     trace = make_trace(config)
     store = TraceStore(tmp_path)
     path = store.save(config, trace)
-    assert path.exists()
+    assert path == store.path_for(config) == tmp_path / f"{trace_key(config)}.trace.bin"
     assert store.exists(config)
-    assert store.keys() == [trace_key(config)]
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     loaded = store.load(config.with_options(tier=3))  # timing twin hits
     assert loaded is not None
@@ -156,58 +154,6 @@ def test_version_skewed_artifact_misses_via_its_key(tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------- load cache
 
-def test_load_cache_returns_same_object_until_rewrite(tmp_path):
-    config = ExperimentConfig(workload="sort", size="tiny", tier=0)
-    store = TraceStore(tmp_path)
-    store.save(config, make_trace(config))
-    first = store.load(config)
-    assert store.load(config) is first  # served from the LRU
-
-    # Rewriting the artifact changes its stat signature -> fresh load.
-    replacement = make_trace(config)
-    store.save(config, replacement)
-    path = store.path_for(config)
-    stat = path.stat()
-    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
-    fresh = store.load(config)
-    assert fresh is not None and fresh is not first
-
-
-def test_same_mtime_overwrite_is_not_served_stale(tmp_path):
-    """The PR-8 satellite: the load cache folds a content digest into
-    its key, so an artifact overwritten in-place with the *same* size
-    and mtime_ns (rsync-style restores, coarse filesystem timestamps)
-    must serve the new bytes instead of the cached trace."""
-    config = ExperimentConfig(workload="sort", size="tiny", tier=0)
-    store = TraceStore(tmp_path)
-    original = make_trace(config)
-    replacement = make_trace(config)
-    replacement.jobs[-1].task_sets[0].floats["compute_ops"][0] += 1.0
-    replacement.seal()  # recompute the checksum over the mutated residue
-
-    # One changed value in a column: equal-length artifacts, so size
-    # cannot tell them apart.
-    payload_a = artifact_bytes(tmp_path / "a", config, original)
-    payload_b = artifact_bytes(tmp_path / "b", config, replacement)
-    assert len(payload_a) == len(payload_b) and payload_a != payload_b
-
-    path = store.path_for(config)
-    path.write_bytes(payload_a)
-    stat = path.stat()
-    first = store.load(config)
-    assert first is not None
-    assert store.load(config) is first  # cached under the digest key
-
-    path.write_bytes(payload_b)
-    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-    after = path.stat()
-    assert (after.st_size, after.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
-
-    fresh = store.load(config)
-    assert fresh is not None and fresh is not first
-    assert fresh.checksum == replacement.checksum != original.checksum
-
-
 def test_load_cache_is_bounded_by_decoded_bytes(tmp_path, monkeypatch):
     """Loading past the byte budget evicts the least recently used trace
     and keeps the newest, even when the newest alone exceeds it.  Each
@@ -278,6 +224,122 @@ def test_replay_plans_and_delta_tables_are_charged_on_every_load(
     assert [entry.trace for entry in store_module._LOAD_CACHE.values()] == [other]
 
 
+def test_a_hit_makes_no_filesystem_call(tmp_path, monkeypatch):
+    """A trace this process decoded is served from the load cache with
+    no ``stat``, no ``open`` and no :func:`repro.artifacts.read`."""
+    config = ExperimentConfig(workload="sort", size="tiny", tier=0)
+    store = TraceStore(tmp_path)
+    store.save(config, make_trace(config))
+    monkeypatch.setattr(store_module, "_LOAD_CACHE", OrderedDict())
+    decoded = store.load(config)
+    assert decoded is not None
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    for module, name in (
+        (os, "stat"), (os, "lstat"), (os, "open"), (builtins, "open"), (artifacts, "read")
+    ):
+        counting(module, name)
+    store_module.reset_stats()
+    assert store.load(config) is decoded
+    assert store.load(config.with_options(tier=3)) is decoded
+    assert calls == []
+    assert store_module.stats()["hits"] == 2
+
+    store_module._LOAD_CACHE.clear()  # a decode does read the file, once
+    assert store.load(config) is not None
+    assert calls == ["read", "open"]
+
+
+def test_a_store_is_just_its_root(tmp_path):
+    """Making a store creates nothing: a store over a missing root loads
+    as ``missing``, and its first save creates the root."""
+    config = ExperimentConfig(workload="sort", size="tiny", tier=0)
+    root = tmp_path / "not" / "yet"
+    store = TraceStore(root)
+    assert not (tmp_path / "not").exists()
+    store_module.reset_stats()
+    assert store.load(config) is None and not store.exists(config)
+    assert store_module.stats()["missing"] == 1
+    assert not (tmp_path / "not").exists()
+    store.save(config, make_trace(config))
+    assert store.exists(config)
+    assert [p.name for p in root.iterdir()] == [store.path_for(config).name]
+
+
+# ------------------------------------------------- one class, several traces
+
+#: Fig. 4's 3x8 geometry, where a class's captures depend on the tier.
+PAGERANK_3X8 = ExperimentConfig(
+    workload="pagerank", size="tiny", tier=0, num_executors=3, executor_cores=8
+)
+
+
+@pytest.fixture(scope="module")
+def pagerank_captures():
+    """The tier-0 and tier-3 captures of ``PAGERANK_3X8``'s class."""
+    return {tier: make_trace(PAGERANK_3X8.with_options(tier=tier)) for tier in (0, 3)}
+
+
+def test_a_class_may_store_different_traces_and_each_replays_exactly_or_falls_back(
+    pagerank_captures,
+):
+    """Writers of one trace key need not write equal bytes: the tier-0
+    and tier-3 captures of one class differ.  Each is still a valid
+    stand-in for every point of the class: its replay at each tier
+    equals direct simulation or raises :class:`ReplayDivergence` (the
+    point then runs directly).  So no artifact under a key is more valid
+    than another, and a decoded trace need not be checked against the
+    file it came from."""
+    assert trace_key(PAGERANK_3X8) == trace_key(PAGERANK_3X8.with_options(tier=3))
+    first, last = pagerank_captures[0], pagerank_captures[3]
+    assert first.intact and last.intact and first.checksum != last.checksum
+    outcomes = []
+    for tier in range(4):
+        point = PAGERANK_3X8.with_options(tier=tier)
+        direct = result_to_dict(run_experiment(point))
+        for trace in (first, last):
+            try:
+                replayed = result_to_dict(fast_replay_experiment(point, trace))
+            except ReplayDivergence:
+                outcomes.append("falls back")
+                continue
+            assert replayed == direct, (tier, trace.checksum)
+            outcomes.append("equal")
+    assert "equal" in outcomes and "falls back" in outcomes
+
+
+def test_a_decoded_trace_outlives_its_artifact(tmp_path, monkeypatch, pagerank_captures):
+    """Once decoded, a trace is served unchanged for the life of the
+    process: after its artifact is deleted, and after the artifact is
+    overwritten by another verified trace of the class.  A process with
+    an empty load cache reads the artifact as it is now."""
+    store = TraceStore(tmp_path)
+    first, last = pagerank_captures[0], pagerank_captures[3]
+    path = store.save(PAGERANK_3X8, first)
+    monkeypatch.setattr(store_module, "_LOAD_CACHE", OrderedDict())
+    decoded = store.load(PAGERANK_3X8)
+    assert decoded is not None and decoded.checksum == first.checksum
+
+    path.unlink()
+    assert store.load(PAGERANK_3X8) is decoded
+    store.save(PAGERANK_3X8.with_options(tier=3), last)
+    assert store.exists(PAGERANK_3X8)
+    assert store.load(PAGERANK_3X8.with_options(tier=3)) is decoded
+    assert decoded.checksum == first.checksum and decoded.intact
+
+    store_module._LOAD_CACHE.clear()  # as a new process, or after eviction
+    assert store.load(PAGERANK_3X8).checksum == last.checksum
+
+
 def test_a_full_trace_directory_keeps_the_captured_results(tmp_path, disk_full):
     """A trace write that fails with ENOSPC costs the reuse, not the
     point: the capture's result stands, no temporary file is left, and
@@ -296,116 +358,9 @@ def test_a_full_trace_directory_keeps_the_captured_results(tmp_path, disk_full):
     assert TraceStore(traces).exists(configs[0])
 
 
-# ------------------------------------------------------------ settled hits
-
-def _counting_reads(monkeypatch) -> list:
-    """Record every load that reads the artifact's bytes: each digests
-    them once (a decode then also verifies them)."""
-    reads = []
-    real = artifacts.digest
-    monkeypatch.setattr(artifacts, "digest", lambda path: reads.append(path) or real(path))
-    return reads
-
-
-def _after_settling(path) -> int:
-    """A clock reading past the settle margin of ``path``'s last change."""
-    stat = path.stat()
-    return max(stat.st_mtime_ns, stat.st_ctime_ns) + store_module._SETTLE_NS + 1
-
-
-def _wait_for_a_later_ctime(path, probe) -> None:
-    """Block until the filesystem stamps a ctime later than ``path``'s.
-
-    A read settles an entry only more than the margin after the
-    artifact's ctime, so any later write lands at a later ctime.  The
-    injected clock skips that wait; this waits out the filesystem's
-    timestamp granularity instead (a few milliseconds), so the rewrite
-    below is stamped as it would be in real time.
-    """
-    before = path.stat().st_ctime_ns
-    for _ in range(5000):
-        probe.write_bytes(b"")
-        if probe.stat().st_ctime_ns > before:
-            return
-        time.sleep(0.001)
-    raise AssertionError("filesystem ctime never advanced")
-
-
-def test_settled_hit_reads_no_bytes_and_a_later_rewrite_is_served_fresh(
-    tmp_path, monkeypatch
-):
-    """Once an artifact was read and digested past the settle margin, an
-    equal stat signature serves its trace without reading the file.  An
-    in-place rewrite after that (same size, mtime restored) still moves
-    ctime, so the next load reads, digests and decodes the new bytes."""
-    config = ExperimentConfig(workload="sort", size="tiny", tier=0)
-    store = TraceStore(tmp_path / "traces")
-    original = make_trace(config)
-    replacement = make_trace(config)
-    replacement.jobs[-1].task_sets[0].floats["compute_ops"][0] += 1.0
-    replacement.seal()
-    payload_a = artifact_bytes(tmp_path / "a", config, original)
-    payload_b = artifact_bytes(tmp_path / "b", config, replacement)
-    assert len(payload_a) == len(payload_b) and payload_a != payload_b
-
-    path = store.path_for(config)
-    path.write_bytes(payload_a)
-    monkeypatch.setattr(store_module, "_LOAD_CACHE", OrderedDict())
-    monkeypatch.setattr(store_module, "_clock_ns", lambda: _after_settling(path))
-    store_module.reset_stats()
-    reads = _counting_reads(monkeypatch)
-
-    first = store.load(config)  # read, digested and decoded: settled
-    assert first is not None and len(reads) == 1
-    assert store.load(config) is first
-    assert store.load(config) is first
-    assert len(reads) == 1  # the settled hits read no byte
-    assert store_module.stats()["settled_hits"] == 2
-
-    stat = path.stat()
-    _wait_for_a_later_ctime(path, tmp_path / "probe")
-    path.write_bytes(payload_b)
-    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-    after = path.stat()
-    assert (after.st_size, after.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
-
-    fresh = store.load(config)
-    assert fresh is not None and fresh is not first
-    assert fresh.checksum == replacement.checksum != original.checksum
-    assert len(reads) == 2
-    assert store_module.stats()["decodes"] == 2
-
-
-def test_loads_within_the_margin_are_reverified(tmp_path, monkeypatch):
-    """A load starting within the margin of the artifact's last change
-    reads and digests it every time; one past the margin settles the
-    entry, and the next equal-signature load is a settled hit."""
-    config = ExperimentConfig(workload="sort", size="tiny", tier=0)
-    store = TraceStore(tmp_path)
-    store.save(config, make_trace(config))
-    path = store.path_for(config)
-    settle_at = _after_settling(path)
-    clock = [settle_at - 1_000_000]  # 1 ms short of settling
-    monkeypatch.setattr(store_module, "_LOAD_CACHE", OrderedDict())
-    monkeypatch.setattr(store_module, "_clock_ns", lambda: clock[0])
-    store_module.reset_stats()
-    reads = _counting_reads(monkeypatch)
-
-    first = store.load(config)
-    assert store.load(config) is first and store.load(config) is first
-    assert len(reads) == 3
-    clock[0] = settle_at
-    assert store.load(config) is first  # re-verified, now settled
-    assert store.load(config) is first
-    assert len(reads) == 4
-    counts = store_module.stats()
-    assert (counts["decodes"], counts["verified_hits"], counts["settled_hits"]) == (1, 3, 1)
-
-
 def test_every_load_outcome_is_counted(tmp_path, monkeypatch):
     """``stats()`` counts each load once, by outcome: a miss by reason
-    (missing, corrupt, version skew, checksum), a decode, or a hit
-    (re-verified or settled)."""
+    (missing, corrupt, version skew, checksum), a decode, or a hit."""
     config = ExperimentConfig(workload="sort", size="tiny", tier=0)
     store = TraceStore(tmp_path)
     path = store.path_for(config)
@@ -439,16 +394,11 @@ def test_every_load_outcome_is_counted(tmp_path, monkeypatch):
     assert load_counts("checksum") is None
 
     store.save(config, make_trace(config))
-    clock = [0]
-    monkeypatch.setattr(store_module, "_clock_ns", lambda: clock[0])
     trace = load_counts("decodes")
     assert trace is not None
-    assert load_counts("verified_hits") is trace
-    clock[0] = _after_settling(path)
-    assert load_counts("verified_hits") is trace  # settles the entry
-    assert load_counts("settled_hits") is trace
+    assert load_counts("hits") is trace
 
     counts = store_module.stats()
     assert counts.pop("save_failed") == 0  # the one counter that is no load
     assert set(outcomes) == set(counts)
-    assert sum(counts.values()) == 9
+    assert sum(counts.values()) == 7

@@ -115,8 +115,10 @@ def test_store_load_roundtrip_is_value_identical(tmp_path, name, params):
 def test_keys_lists_stored_artifacts(tmp_path):
     cache = DatasetCache(tmp_path)
     name, params = GENERATOR_PARAMS[0]
-    cache.store(name, params, columns(name, params))
-    assert cache.keys() == [dataset_key(name, params)]
+    path = cache.store(name, params, columns(name, params))
+    assert path == cache.path_for(name, params)
+    assert path.name == f"{dataset_key(name, params)}.dataset.bin"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 # ---------------------------------------------------------- artifact bytes
@@ -416,7 +418,8 @@ def test_a_full_dataset_directory_keeps_the_captured_results(tmp_path, disk_full
     assert (stats["store_failed"], stats["stores"], stats["misses"]) == (1, 1, 2)
     datasets = tmp_path / "datasets"
     assert [p.name for p in datasets.iterdir() if p.name.startswith(".tmp-")] == []
-    assert len(DatasetCache(datasets).keys()) == 1
+    (stored,) = datasets.iterdir()  # wordcount's, written once the disk had room
+    assert stored.name.endswith(".dataset.bin")
 
 
 # ------------------------------------------------------------- concurrency
@@ -445,8 +448,8 @@ def test_concurrent_writers_race_harmlessly(tmp_path):
         proc.join(60)
         assert proc.exitcode == 0
     cache = DatasetCache(tmp_path)
-    assert cache.keys() == [dataset_key(name, params)]
-    assert not list(tmp_path.glob(".tmp-*"))  # no leaked temp files
+    # One artifact under its key, and no leaked temp files.
+    assert [p.name for p in tmp_path.iterdir()] == [cache.path_for(name, params).name]
     loaded = cache.load(name, params)
     assert loaded is not None
     assert_same_dataset(loaded, records(name, params))
